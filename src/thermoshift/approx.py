@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from .bounds import BoundReport, reduction_step_norms
+from .bounds import BoundReport, _effective
 from .measures import entropy_rate, integrate
 from .potential import LocallyConstantFunction, sup_diff
 from .shift import TransitionMatrix, build_sft, enumerate_periodic
@@ -248,9 +248,7 @@ def periodic_orbit_harness(
     theta = data.phi.theta
     size = data.shift.n
     delta = data.kappa
-    eff = data.b
-    for s in reduction_step_norms(data, f.depth) if f.depth > 1 else []:
-        eff *= s
+    eff = _effective(data.b, data, f)[0]
     m_f = integrate(data.measure, f)
     for k in k_range:
         if k < 3:
@@ -344,10 +342,7 @@ def stability_bound(
     lhs = abs(integrate(mu_phi, f) - integrate(mu_psi, f))
     diff = sup_diff(phi0, psi0)
     norms = f.norms()
-    eff = data_phi.a
-    steps = reduction_step_norms(data_phi, f.depth) if f.depth > 1 else []
-    for s in steps:
-        eff *= s
+    eff, steps = _effective(data_phi.a, data_phi, f)
     rhs = eff * norms.total * math.sqrt(diff)
 
     identity_lhs = -entropy_rate(mu_psi) - integrate(mu_psi, phi0)
@@ -365,7 +360,7 @@ def stability_bound(
             "a": eff,
             "c": data_phi.c,
             "kappa": data_phi.kappa,
-            "reduction_norms": tuple(steps),
+            "reduction_norms": steps,
         },
         terms={
             "sup_diff": diff,

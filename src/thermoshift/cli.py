@@ -139,9 +139,12 @@ def _plain_entries(section: _Section) -> dict:
 
 def _parse_float(value: str, lineno: int) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"expected a number, got {value!r}", lineno) from None
+    if not math.isfinite(number):
+        raise ConfigError(f"expected a finite number, got {value!r}", lineno)
+    return number
 
 
 def _parse_int(value: str, lineno: int) -> int:
@@ -164,8 +167,8 @@ def _parse_word(shift: TransitionMatrix, text: str, lineno: int) -> tuple:
         )
     try:
         word = tuple(shift.index(s) for s in labels)
-    except KeyError as exc:
-        raise ConfigError(f"unknown state {exc.args[0]!r}", lineno) from None
+    except ValueError as exc:
+        raise ConfigError(str(exc), lineno) from None
     if not shift.is_word(word):
         raise ConfigError(f"word {text!r} is not admissible", lineno)
     return word
@@ -450,7 +453,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -994,18 +997,13 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text)
         if args.seed is not None:
-            cfg = _reseed(cfg, args.seed)
+            cfg.seed = args.seed
         if args.out is not None:
             cfg.out = args.out
         return run_experiment(cfg)
     except (ConfigError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _reseed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    cfg.seed = seed
-    return cfg
 
 
 if __name__ == "__main__":

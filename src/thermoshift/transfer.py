@@ -25,11 +25,12 @@ from .shift import (
     is_topologically_mixing,
 )
 
-EIGEN_TOL = 1e-14
-MAX_POWER_ITER = 10**6
 GAP_PROBE_DEPTH = 50
 # iterate norms at float-noise level say nothing about the true decay rate
 NOISE_FLOOR = 1e-13
+# a few ulps of error in kappa move 1/(1 - kappa), and with it a and b, by
+# more than 1e-5 relative once the gap 1 - kappa drops below this
+GAP_FLOOR = 1e-10
 
 
 class EigensolverError(RuntimeError):
@@ -50,49 +51,30 @@ def transfer_matrix(shift: TransitionMatrix, phi: LocallyConstantFunction) -> np
     return b
 
 
-def _power_pair(b: np.ndarray):
-    """Dominant eigenvalue with left and right positive eigenvectors."""
-    n = b.shape[0]
-    v = np.full(n, 1.0 / n)
-    u = np.full(n, 1.0 / n)
-    for _ in range(MAX_POWER_ITER):
-        bv = b @ v
-        ub = u @ b
-        sv, su = bv.sum(), ub.sum()
-        if sv <= 0.0 or su <= 0.0:
-            raise EigensolverError("iteration left the positive cone")
-        v = bv / sv
-        u = ub / su
-        lam = float(u @ b @ v) / float(u @ v)
-        rv = np.max(np.abs(b @ v - lam * v))
-        ru = np.max(np.abs(u @ b - lam * u))
-        if rv <= EIGEN_TOL * lam * np.max(v) and ru <= EIGEN_TOL * lam * np.max(u):
-            return lam, u, v
-    raise EigensolverError(
-        f"power iteration did not reach tolerance {EIGEN_TOL} in {MAX_POWER_ITER} steps"
-    )
+def _perron_vector(matrix: np.ndarray):
+    """Root of largest real part and its eigenvector, scaled to sum 1."""
+    vals, vecs = np.linalg.eig(matrix)
+    k = int(np.argmax(vals.real))
+    lam = vals[k]
+    if lam.imag != 0.0 or lam.real <= 0.0:
+        raise EigensolverError(f"dominant root {lam} is not real and positive")
+    vec = vecs[:, k].real
+    vec = vec / vec.sum()
+    if not np.all(vec > 0.0):
+        raise EigensolverError("Perron vector is not strictly positive")
+    return vals, k, vec
 
 
-def _second_modulus(b: np.ndarray, lam: float, u: np.ndarray, v: np.ndarray) -> float:
-    n = b.shape[0]
-    if n == 1:
-        return 0.0
-    if n <= 64:
-        mods = np.sort(np.abs(np.linalg.eigvals(b)))
-        return float(mods[-2])
-    # larger systems: orthogonal iteration on the operator with the dominant
-    # pair deflated out; tolerance 1e-8 is documented and plenty for a rate
-    w = b - lam * np.outer(v, u) / float(u @ v)
-    rng = np.random.default_rng(7)
-    q = np.linalg.qr(rng.standard_normal((n, 2)))[0]
-    prev = None
-    for _ in range(10**5):
-        q, _r = np.linalg.qr(w @ q)
-        est = float(np.max(np.abs(np.linalg.eigvals(q.T @ w @ q))))
-        if prev is not None and abs(est - prev) <= 1e-8 * max(1.0, est):
-            return est
-        prev = est
-    raise EigensolverError("deflated iteration for the second eigenvalue stalled")
+def _spectrum(b: np.ndarray):
+    """(lam, |lambda_2|, u, v): dominant root, second largest modulus, and the
+    positive left (u B = lam u) and right (B v = lam v) Perron vectors.
+
+    Dense eigendecompositions of B and its transpose, O(n^3), no iteration.
+    """
+    vals, k, v = _perron_vector(b)
+    u = _perron_vector(b.T)[2]
+    lambda2 = float(np.max(np.abs(np.delete(vals, k)), initial=0.0))
+    return float(vals[k].real), lambda2, u, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +138,7 @@ def perron_data(
     if not is_topologically_mixing(shift):
         raise NotMixingError("transfer operator theory here needs a mixing shift")
     b = transfer_matrix(shift, phi)
-    lam, u, v = _power_pair(b)
+    lam, lambda2, u, v = _spectrum(b)
     # scale so the geometric mean of h is 1, then sum(h * nu) = 1; every
     # published quantity is invariant under the joint rescaling anyway
     h = u / math.exp(float(np.mean(np.log(u))))
@@ -166,10 +148,14 @@ def perron_data(
     p /= p.sum(axis=1, keepdims=True)
     measure = MarkovMeasure(base=shift, kernel=p, initial=pi)
 
-    lambda2 = _second_modulus(b, lam, u, v)
     kappa = lambda2 / lam
     if kappa < 1e-13:
         kappa = 0.0
+    if 1.0 - kappa < GAP_FLOOR:
+        raise EigensolverError(
+            f"spectral gap 1 - kappa = {1.0 - kappa:.3g} (kappa = {kappa!r}) is below "
+            f"{GAP_FLOOR:g}: the constants cannot be certified at float precision"
+        )
     c = _gap_prefactor(p, reverse_kernel(measure), pi, kappa)
     a = math.sqrt(2.0) * c / (1.0 - kappa) * float(np.max(h) * np.max(1.0 / h))
     return PerronData(
@@ -258,7 +244,7 @@ def gurevich_estimate(
         raise ValueError("needs a potential of range at most 2")
     a = shift.index(state) if not isinstance(state, (int, np.integer)) else int(state)
     b = transfer_matrix(shift, phi)
-    logp = math.log(_power_pair(b)[0])
+    logp = math.log(_spectrum(b)[0])
     rows = []
     power = np.eye(shift.n)
     for n in range(1, n_max + 1):

@@ -219,3 +219,59 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "golden-mean" in proc.stdout
+
+
+def test_unknown_state_error_keeps_line_number(tmp_path, capsys):
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text(
+        "[shift]\nstates = a b\nedges = ab ba bb\n"
+        '[potential]\nrange = 2\ndefault = 0.0\nvalue "az" = 1\n'
+        "[experiment]\nkind = pressure\n"
+    )
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "line 7: unknown state 'z'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_values_rejected_at_parse(text):
+    with pytest.raises(ConfigError, match="line 5.*finite"):
+        parse_config(
+            "[shift]\nbuiltin = full-2\n[potential]\ndefault = 0.0\n"
+            f'value "a" = {text}\n[experiment]\nkind = pressure\n'
+        )
+
+
+def near_periodic_config(value):
+    return (
+        "[shift]\nstates = a b\nedges = ab ba bb\n"
+        f'[potential]\nrange = 2\ndefault = 0.0\nvalue "bb" = {value}\n'
+        "[experiment]\nkind = pressure\n"
+    )
+
+
+@pytest.mark.parametrize("value", ["-5", "-20"])
+def test_near_periodic_run_answers(tmp_path, value):
+    cfg = tmp_path / "np.cfg"
+    cfg.write_text(near_periodic_config(value))
+    out = tmp_path / "out"
+    assert run_main(["run", str(cfg), "--out", str(out)]) == 0
+    rows = dict(
+        line.split(",") for line in (out / "pressure.csv").read_text().splitlines()[1:]
+    )
+    assert 0.0 < 1.0 - float(rows["kappa"]) < 1e-2
+
+
+def test_gap_below_float_resolution_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "np.cfg"
+    cfg.write_text(near_periodic_config("-35"))
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "kappa = 0.99999" in capsys.readouterr().err
+
+
+def test_csv_booleans_have_one_spelling(tmp_path):
+    cfg = tmp_path / "id.cfg"
+    cfg.write_text("[experiment]\nkind = identities\ntrials = 2\nk-max = 4\nn-max = 4\n")
+    out = tmp_path / "out"
+    assert run_main(["run", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "identities.csv").read_text().splitlines()
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"true"}

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from thermoshift.bounds import cohomology_residual
 from thermoshift.measures import integrate, metric_pressure
 from thermoshift.potential import LocallyConstantFunction, random_function
 from thermoshift.shift import NotMixingError, build_sft
 from thermoshift.systems import builtin_shift, builtin_system
 from thermoshift.transfer import (
+    EigensolverError,
     equilibrium,
     gibbs_certificate,
     gurevich_estimate,
@@ -226,3 +228,47 @@ def test_gibbs_certificate_all_ratios_in_window():
         cert = gibbs_certificate(data, 8)
         assert 1.0 / cert.apriori <= cert.worst_ratio <= cert.apriori
         assert cert.empirical <= cert.apriori
+
+
+def near_periodic(value):
+    """a -> b -> a plus a loop at b weighted exp(value): as value -> -inf the
+    shift approaches a period-2 cycle and kappa approaches 1."""
+    shift = build_sft(["a", "b"], [("a", "b"), ("b", "a"), ("b", "b")])
+    phi = LocallyConstantFunction.from_values(
+        shift, 2, {("b", "b"): value}, default=0.0
+    )
+    return shift, phi
+
+
+@pytest.mark.parametrize("value", [-5.0, -20.0])
+def test_near_periodic_spectrum_answers(value):
+    shift, phi = near_periodic(value)
+    data = perron_data(shift, phi)
+    b = data.matrix
+    left = np.max(np.abs(data.h @ b - data.lam * data.h))
+    right = np.max(np.abs(b @ data.nu - data.lam * data.nu))
+    assert left <= 1e-12 * data.lam * np.max(data.h)
+    assert right <= 1e-12 * data.lam * np.max(data.nu)
+    assert np.all(data.h > 0.0) and np.all(data.nu > 0.0)
+    assert cohomology_residual(data) <= 1e-10
+    assert 0.0 < 1.0 - data.kappa < 1e-2
+
+
+def test_gap_below_float_resolution_is_refused():
+    shift, phi = near_periodic(-35.0)
+    with pytest.raises(EigensolverError, match="kappa = 0.99999"):
+        perron_data(shift, phi)
+
+
+def test_second_modulus_exact_on_128_states():
+    rng = np.random.default_rng(2024)
+    n = 128
+    labels = [f"s{i}" for i in range(n)]
+    edges = {(i, (i + 1) % n) for i in range(n)} | {(0, 0)}
+    while len(edges) < 4 * n:
+        edges.add(tuple(int(x) for x in rng.integers(0, n, size=2)))
+    shift = build_sft(labels, [(labels[i], labels[j]) for i, j in sorted(edges)])
+    data = perron_data(shift, random_function(shift, 2, rng))
+    mods = np.sort(np.abs(np.linalg.eigvals(data.matrix)))
+    assert data.lambda2_mod == pytest.approx(mods[-2], rel=1e-12)
+    assert data.lam == pytest.approx(mods[-1], rel=1e-12)
