@@ -19,8 +19,8 @@ from scipy.special import zeta as hurwitz_zeta
 from .bounds import BoundReport, _effective
 from .measures import entropy_rate, integrate
 from .potential import LocallyConstantFunction, sup_diff
-from .shift import TransitionMatrix, build_sft, enumerate_periodic
-from .transfer import PerronData, perron_data, transfer_matrix
+from .shift import TransitionMatrix, build_sft, enumerate_words
+from .transfer import PerronData, edge_values, perron_data, transfer_matrix
 
 AMBIENT_A = math.sqrt(2.0)
 
@@ -169,32 +169,57 @@ def truncation_harness(model: CountableModel, values: dict, n_range) -> list:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicOrbitMeasure:
-    """Probability on the period-k points, weighted by the cyclic sums."""
+    """Probability on the period-k points, weighted by the cyclic sums.
+
+    The atom on a cyclically admissible k-word w has weight e^{S_k phi(w)}/Z
+    with Z = tr B^k.  The atoms are never listed: every quantity is read off
+    powers of the weighted matrix B, held as B / rho (rho its spectral
+    radius) so that long periods neither overflow nor underflow.
+    """
 
     base: TransitionMatrix
+    phi: LocallyConstantFunction
     k: int
-    words: tuple
-    weights: np.ndarray
+    scaled: np.ndarray  # B / rho
+    power: np.ndarray  # (B / rho)^k, trace Z / rho^k
     log_normalizer: float
 
     def expectation(self, f: LocallyConstantFunction) -> float:
+        """nu(f) for f of any range r.  With m = min(r, k), the period-k
+        points starting with the admissible m-word u carry the total weight
+        (path weight of u) * (B^{k-m+1})[u_last, u_0]; f reads u cyclically
+        when k < r."""
         if not f.base.same_shift(self.base):
             raise ValueError("observable lives on a different shift")
+        r, k = f.depth, self.k
+        m = min(r, k)
+        closing = np.linalg.matrix_power(self.scaled, k - m + 1)
         total = 0.0
-        for w, p in zip(self.words, self.weights):
-            key = tuple(w[i % self.k] for i in range(f.depth))
-            total += p * f.table[key]
-        return float(total)
+        for u in enumerate_words(self.base, m):
+            weight = closing[u[-1], u[0]]
+            for a, b in zip(u, u[1:]):
+                weight *= self.scaled[a, b]
+            if weight > 0.0:
+                total += weight * f.table[tuple(u[i % m] for i in range(r))]
+        return float(total / np.trace(self.power))
 
     def block_entropy(self) -> float:
-        """Entropy over length-k cylinders; each holds at most one atom."""
-        w = self.weights[self.weights > 0.0]
-        return float(-np.sum(w * np.log(w)))
+        """Entropy over length-k cylinders; each holds at most one atom.
+
+        It equals log Z minus the nu-average of S_k phi, and
+        sum_w e^{S(w)} S(w) is the trace of the top-right block of
+        [[B, B*phi], [0, B]]^k.  That route never uses the invariance of nu
+        under rotation, so orbit_entropy_identity compares two evaluations.
+        """
+        n = self.base.n
+        tilted = self.scaled * edge_values(self.base, self.phi)
+        lift = np.block([[self.scaled, tilted], [np.zeros((n, n)), self.scaled]])
+        corner = np.linalg.matrix_power(lift, self.k)[:n, n:]
+        return float(self.log_normalizer - np.trace(corner) / np.trace(self.power))
 
     def marginal_entropy(self) -> float:
-        mass = np.zeros(self.base.n)
-        for w, p in zip(self.words, self.weights):
-            mass[w[0]] += p
+        """Entropy of the first symbol, whose law is diag(B^k) / Z."""
+        mass = np.diag(self.power) / np.trace(self.power)
         live = mass[mass > 0.0]
         return float(-np.sum(live * np.log(live)))
 
@@ -204,30 +229,46 @@ def periodic_orbit_measure(
 ) -> PeriodicOrbitMeasure:
     """Atoms on all cyclically admissible k-words with Gibbs-like weights.
 
-    The normalizer is cross-checked against trace(B^k) to 1e-10 relative.
+    The normalizer tr B^k is cross-checked against the eigenvalue sum
+    sum_i lambda_i^k to 1e-10 relative, both in units of rho^k.
     """
     if phi.depth > 2:
         raise ValueError("needs a potential of range at most 2")
-    words = enumerate_periodic(shift, k)
-    if not words:
+    if k < 1:
+        raise ValueError("period must be at least 1")
+    b = transfer_matrix(shift, phi)
+    eigenvalues = np.linalg.eigvals(b)
+    rho = float(np.max(np.abs(eigenvalues)))
+    scaled = b / rho if rho > 0.0 else b
+    power = np.linalg.matrix_power(scaled, k)
+    trace = float(np.trace(power))
+    if not (math.isfinite(rho) and math.isfinite(trace)):
+        raise ValueError(
+            f"period-{k} weights are not finite: spectral radius {rho}, "
+            f"scaled trace {trace}"
+        )
+    if trace <= 0.0:
         raise ValueError(f"no periodic points of period {k}")
-    raw = np.array([math.exp(phi.birkhoff_sum(w, k, cyclic=True)) for w in words])
-    z = float(raw.sum())
-    trace = float(np.trace(np.linalg.matrix_power(transfer_matrix(shift, phi), k)))
-    if abs(z - trace) > 1e-10 * max(1.0, abs(trace)):
-        raise RuntimeError(f"normalizer {z} disagrees with trace {trace} at k={k}")
+    spectral = float(np.sum((eigenvalues / rho) ** k).real)
+    if abs(trace - spectral) > 1e-10 * max(1.0, trace):
+        raise RuntimeError(
+            f"normalizer rho^k * {trace} disagrees with the eigenvalue sum "
+            f"rho^k * {spectral} at k={k}"
+        )
     return PeriodicOrbitMeasure(
         base=shift,
+        phi=phi,
         k=k,
-        words=tuple(words),
-        weights=raw / z,
-        log_normalizer=math.log(z),
+        scaled=scaled,
+        power=power,
+        log_normalizer=k * math.log(rho) + math.log(trace),
     )
 
 
 def orbit_entropy_identity(nu: PeriodicOrbitMeasure, phi: LocallyConstantFunction):
     """Exact identity: block entropy rate plus the integral of the potential
-    equals the log-normalizer rate."""
+    equals the log-normalizer rate.  With phi replaced by another psi the two
+    sides differ by nu(psi - phi)."""
     lhs = nu.block_entropy() / nu.k + nu.expectation(phi)
     rhs = nu.log_normalizer / nu.k
     return lhs, rhs
@@ -255,6 +296,7 @@ def periodic_orbit_harness(
             raise ValueError("periods below 3 have no certified form")
         nu = periodic_orbit_measure(data.shift, data.phi, k)
         nu_f = nu.expectation(f)
+        identity_lhs, identity_rhs = orbit_entropy_identity(nu, data.phi)
         lhs = abs(m_f - nu_f)
         spectral = 2.0 * size * delta**k / k
         entropy_term = 2.0 / (k - 2) * nu.marginal_entropy()
@@ -279,6 +321,7 @@ def periodic_orbit_harness(
                     "f_norm": norms.total,
                     "nu_f": nu_f,
                     "m_f": m_f,
+                    "identity_dev": abs(identity_lhs - identity_rhs),
                 },
                 params={"k": k, "pre_asymptotic": pre_asymptotic},
             )

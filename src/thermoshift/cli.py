@@ -50,7 +50,7 @@ from .measures import (
     random_markov_measure,
 )
 from .potential import LocallyConstantFunction, add, random_function
-from .shift import WORD_CAP, TransitionMatrix, build_sft
+from .shift import TransitionMatrix, build_sft
 from .systems import BUILTIN_SHIFTS, BUILTIN_SYSTEMS, builtin_shift, builtin_system
 from .transfer import (
     equilibrium,
@@ -520,6 +520,15 @@ def _pick_observable(cfg: ExperimentConfig) -> LocallyConstantFunction:
     return _default_observable(cfg.shift, cfg.theta)
 
 
+def _pick_model_observable(cfg: ExperimentConfig) -> dict:
+    name = _str_param(cfg.params, "observable", None)
+    if name is not None:
+        return cfg.model_observables[name]
+    if cfg.model_observables:
+        return next(iter(cfg.model_observables.values()))
+    return {1: 1.0}
+
+
 def _measure_pool(cfg: ExperimentConfig, trials: int):
     """Concrete list of (label, measure) pairs for bound batteries."""
     name = _str_param(cfg.params, "measure", None)
@@ -716,15 +725,8 @@ def _run_theorem2(cfg: ExperimentConfig):
 def _run_corollary1(cfg: ExperimentConfig):
     if cfg.model is None:
         raise ConfigError("corollary1 needs a countable model in [shift]")
-    name = _str_param(cfg.params, "observable", None)
-    if name is not None:
-        values = cfg.model_observables[name]
-    elif cfg.model_observables:
-        values = next(iter(cfg.model_observables.values()))
-    else:
-        values = {1: 1.0}
     n_range = _range_param(cfg.params, "n", range(2, 21))
-    reports = truncation_harness(cfg.model, values, n_range)
+    reports = truncation_harness(cfg.model, _pick_model_observable(cfg), n_range)
     rows = []
     min_slack = math.inf
     for rep in reports:
@@ -749,20 +751,8 @@ def _run_corollary1(cfg: ExperimentConfig):
 def _run_corollary2(cfg: ExperimentConfig):
     k_range = _range_param(cfg.params, "k", range(3, 13))
     if cfg.model is not None:
-        n = _int_param(cfg.params, "n", 6)
-        sub = truncate(cfg.model, n)
-        if "k" not in cfg.params:
-            # periodic enumeration walks n^k words; keep the default feasible
-            cap_k = int(math.log(WORD_CAP) / math.log(max(2, n)))
-            k_range = range(3, max(3, min(12, cap_k)) + 1)
-        name = _str_param(cfg.params, "observable", None)
-        values = (
-            cfg.model_observables[name]
-            if name is not None
-            else (next(iter(cfg.model_observables.values())) if cfg.model_observables else {1: 1.0})
-        )
-        reports = combined_orbit_harness(sub, values, k_range)
-        data, phi = sub.data, sub.phi
+        sub = truncate(cfg.model, _int_param(cfg.params, "n", 6))
+        reports = combined_orbit_harness(sub, _pick_model_observable(cfg), k_range)
     else:
         _require_finite(cfg)
         data = equilibrium(cfg.phi)
@@ -770,27 +760,24 @@ def _run_corollary2(cfg: ExperimentConfig):
         if data.recoding is not None:
             raise ConfigError("corollary2 needs a potential of range at most 2")
         reports = periodic_orbit_harness(data, f, k_range)
-        phi = data.phi
     rows = []
     min_slack = math.inf
     worst_identity = 0.0
     for rep in reports:
-        k = rep.params["k"]
-        nu = periodic_orbit_measure(data.shift, phi, k)
-        ident_lhs, ident_rhs = orbit_entropy_identity(nu, phi)
-        worst_identity = max(worst_identity, abs(ident_lhs - ident_rhs))
+        identity_dev = rep.terms["identity_dev"]
+        worst_identity = max(worst_identity, identity_dev)
         if not rep.params["pre_asymptotic"]:
             min_slack = min(min_slack, rep.slack)
         rows.append(
             (
-                k,
+                rep.params["k"],
                 rep.lhs,
                 rep.rhs,
                 rep.slack,
                 rep.params["pre_asymptotic"],
                 rep.terms.get("combined_lhs", rep.lhs),
                 rep.terms.get("combined_rhs", rep.rhs),
-                abs(ident_lhs - ident_rhs),
+                identity_dev,
             )
         )
     checks = [

@@ -37,17 +37,37 @@ class EigensolverError(RuntimeError):
     pass
 
 
-def transfer_matrix(shift: TransitionMatrix, phi: LocallyConstantFunction) -> np.ndarray:
-    """Weighted adjacency B_ij = t_ij exp(phi on the edge word)."""
+def _edge_words(shift: TransitionMatrix, phi: LocallyConstantFunction):
+    """(i, j, w) for every edge i -> j, w the word phi reads on it."""
     if not phi.base.same_shift(shift):
         raise ValueError("potential lives on a different shift")
     if phi.depth > 2:
         raise ValueError("transfer matrix needs a potential of range at most 2")
-    b = np.zeros((shift.n, shift.n))
     for i in range(shift.n):
         for j in shift.successors(i):
-            w = (i,) if phi.depth == 1 else (i, j)
+            yield i, j, (i,) if phi.depth == 1 else (i, j)
+
+
+def edge_values(shift: TransitionMatrix, phi: LocallyConstantFunction) -> np.ndarray:
+    """Matrix of phi on the edge words, 0 off the edges: log B where B > 0."""
+    values = np.zeros((shift.n, shift.n))
+    for i, j, w in _edge_words(shift, phi):
+        values[i, j] = phi.table[w]
+    return values
+
+
+def transfer_matrix(shift: TransitionMatrix, phi: LocallyConstantFunction) -> np.ndarray:
+    """Weighted adjacency B_ij = t_ij exp(phi on the edge word)."""
+    b = np.zeros((shift.n, shift.n))
+    for i, j, w in _edge_words(shift, phi):
+        try:
             b[i, j] = math.exp(phi.table[w])
+        except OverflowError:
+            labels = [str(s) for s in shift.labels(w)]
+            spelled = "".join(labels) if all(len(s) == 1 for s in labels) else ":".join(labels)
+            raise ValueError(
+                f'potential value {phi.table[w]!r} on word "{spelled}" overflows exp'
+            ) from None
     return b
 
 
@@ -120,8 +140,9 @@ def _gap_prefactor(p: np.ndarray, q: np.ndarray, pi: np.ndarray, kappa: float) -
             norm = float(np.max(np.abs(power - limit).sum(axis=1)))
             if norm <= NOISE_FLOOR:
                 continue
-            ratio = norm / kappa**n if kappa > 0.0 else norm
-            c = max(c, ratio)
+            decay = kappa**n if kappa > 0.0 else 1.0
+            # kappa**n underflows to 0 for small nonzero kappa: no finite c
+            c = max(c, norm / decay if decay > 0.0 else math.inf)
     return c
 
 
@@ -157,6 +178,11 @@ def perron_data(
             f"{GAP_FLOOR:g}: the constants cannot be certified at float precision"
         )
     c = _gap_prefactor(p, reverse_kernel(measure), pi, kappa)
+    if not math.isfinite(c):
+        raise EigensolverError(
+            f"gap prefactor c = {c} is not finite (kappa = {kappa!r}): "
+            "the iterate norms cannot be certified"
+        )
     a = math.sqrt(2.0) * c / (1.0 - kappa) * float(np.max(h) * np.max(1.0 / h))
     return PerronData(
         shift=shift,

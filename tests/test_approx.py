@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from thermoshift.approx import (
     zeta_model,
 )
 from thermoshift.potential import LocallyConstantFunction, add, random_function
-from thermoshift.shift import enumerate_periodic
-from thermoshift.systems import builtin_shift, builtin_system
+from thermoshift.shift import build_sft, enumerate_periodic, is_topologically_mixing
+from thermoshift.systems import BUILTIN_SYSTEMS, builtin_shift, builtin_system
 from thermoshift.transfer import perron_data, transfer_matrix
 
 
@@ -127,6 +128,77 @@ def test_zeta_truncation_certified():
 # --- periodic orbit measures ------------------------------------------------
 
 
+# Reference oracle: list all n^k cyclically admissible k-words and weigh each
+# by the exponential of its cyclic Birkhoff sum, in pure Python.
+
+
+class EnumeratedOrbitMeasure(NamedTuple):
+    n: int
+    k: int
+    words: tuple
+    weights: np.ndarray
+    log_normalizer: float
+
+    def expectation(self, f):
+        total = 0.0
+        for w, p in zip(self.words, self.weights):
+            total += p * f.table[tuple(w[i % self.k] for i in range(f.depth))]
+        return float(total)
+
+    def block_entropy(self):
+        w = self.weights[self.weights > 0.0]
+        return float(-np.sum(w * np.log(w)))
+
+    def marginal_entropy(self):
+        mass = np.zeros(self.n)
+        for w, p in zip(self.words, self.weights):
+            mass[w[0]] += p
+        live = mass[mass > 0.0]
+        return float(-np.sum(live * np.log(live)))
+
+
+def enumerated_orbit_measure(shift, phi, k):
+    words = enumerate_periodic(shift, k)
+    raw = np.array([math.exp(phi.birkhoff_sum(w, k, cyclic=True)) for w in words])
+    z = float(raw.sum())
+    return EnumeratedOrbitMeasure(shift.n, k, tuple(words), raw / z, math.log(z))
+
+
+ORACLE_TOL = 1e-12
+
+
+def assert_matches_oracle(shift, phi, k, observables=()):
+    """Trace route against the enumeration, relative with the scale floored at 1."""
+    nu = periodic_orbit_measure(shift, phi, k)
+    ref = enumerated_orbit_measure(shift, phi, k)
+    pairs = [
+        (nu.log_normalizer, ref.log_normalizer),
+        (nu.block_entropy(), ref.block_entropy()),
+        (nu.marginal_entropy(), ref.marginal_entropy()),
+    ]
+    pairs += [(nu.expectation(f), ref.expectation(f)) for f in (phi, *observables)]
+    for got, want in pairs:
+        assert abs(got - want) <= ORACLE_TOL * max(1.0, abs(want)), (k, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_trace_route_matches_enumeration_on_builtins(name):
+    shift, phi = builtin_system(name)
+    rng = np.random.default_rng(17)
+    observables = [random_function(shift, r, rng) for r in (1, 2, 3)]
+    for k in range(1, 13):
+        assert_matches_oracle(shift, phi, k, observables)
+
+
+@pytest.mark.parametrize("model", [geometric_model(0.5), zeta_model(2.0)])
+def test_trace_route_matches_enumeration_on_truncations(model):
+    for n in range(2, 6):
+        sub = truncate(model, n)
+        f = sub.observable({1: 1.0, 2: -0.5})
+        for k in range(1, 8):
+            assert_matches_oracle(sub.shift, sub.phi, k, [f])
+
+
 def test_periodic_measure_trace_identity():
     for name in ("golden-zero", "golden-range2", "full2-bernoulli", "tribonacci-zero"):
         shift, phi = builtin_system(name)
@@ -140,12 +212,51 @@ def test_periodic_measure_trace_identity():
 
 def test_periodic_measure_weights():
     shift, phi = builtin_system("golden-range2")
-    nu = periodic_orbit_measure(shift, phi, 3)
+    nu = enumerated_orbit_measure(shift, phi, 3)
     assert len(nu.words) == len(enumerate_periodic(shift, 3))
     assert sum(nu.weights) == pytest.approx(1.0, abs=1e-12)
     # weight of the aab cycle against the aba rotation: equal cyclic sums
     by_word = dict(zip(nu.words, nu.weights))
     assert by_word[(0, 0, 1)] == pytest.approx(by_word[(0, 1, 0)], abs=1e-15)
+
+
+def test_no_periodic_points_refused():
+    # a -> b -> a and a -> b -> c -> a: mixing, but no fixed points
+    shift = build_sft("abc", [("a", "b"), ("b", "a"), ("b", "c"), ("c", "a")])
+    assert is_topologically_mixing(shift)
+    phi = LocallyConstantFunction.zero(shift)
+    with pytest.raises(ValueError, match="no periodic points of period 1"):
+        periodic_orbit_measure(shift, phi, 1)
+    assert_matches_oracle(shift, phi, 2)
+
+
+def test_non_finite_weights_refused():
+    # every weight is finite, but their spectral radius overflows a float
+    shift = builtin_shift("full-2")
+    phi = LocallyConstantFunction.constant(shift, 709.7)
+    with pytest.raises(ValueError):
+        periodic_orbit_measure(shift, phi, 3)
+
+
+def test_long_period_rate_reaches_pressure():
+    shift, phi = builtin_system("golden-range2")
+    nu = periodic_orbit_measure(shift, phi, 2000)
+    assert math.isfinite(nu.log_normalizer)
+    pressure = perron_data(shift, phi).pressure
+    assert abs(nu.log_normalizer / 2000 - pressure) <= 1e-9
+
+
+def test_orbit_entropy_identity_shows_other_potentials():
+    # with psi in place of phi the sides differ by nu(psi - phi), which the
+    # enumeration computes independently
+    shift, phi = builtin_system("golden-range2")
+    psi = add(phi, random_function(shift, 2, np.random.default_rng(23)))
+    for k in (1, 2, 5, 9):
+        lhs, rhs = orbit_entropy_identity(periodic_orbit_measure(shift, phi, k), psi)
+        ref = enumerated_orbit_measure(shift, phi, k)
+        gap = ref.expectation(psi) - ref.expectation(phi)
+        assert abs(gap) > 1e-3
+        assert lhs - rhs == pytest.approx(gap, abs=1e-12)
 
 
 def test_orbit_entropy_identity_exact():

@@ -275,3 +275,37 @@ def test_csv_booleans_have_one_spelling(tmp_path):
     assert run_main(["run", str(cfg), "--out", str(out)]) == 0
     lines = (out / "identities.csv").read_text().splitlines()
     assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"true"}
+
+
+@pytest.mark.parametrize(
+    "potential, message",
+    [
+        ('default = 0.0\nvalue "ab" = 1000', 'value 1000.0 on word "ab" overflows'),
+        (
+            'value "aa" = -3\nvalue "ab" = -6\nvalue "ba" = -18\nvalue "bb" = 19',
+            "gap prefactor c = inf",
+        ),
+    ],
+)
+def test_unrepresentable_constants_exit_2(tmp_path, capsys, potential, message):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(
+        "[shift]\nstates = a b\nedges = aa ab ba bb\n"
+        f"[potential]\nrange = 2\n{potential}\n"
+        "[experiment]\nkind = pressure\n"
+    )
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["geometric(0.5)", "zeta(2)"])
+def test_corollary2_default_model_runs_k_3_to_12(tmp_path, capsys, model):
+    cfg = tmp_path / "c2.cfg"
+    cfg.write_text(f"[shift]\nmodel = {model}\n[experiment]\nkind = corollary2\n")
+    out = tmp_path / "out"
+    assert run_main(["run", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "corollary2.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [str(k) for k in range(3, 13)]
+    summary = capsys.readouterr().out
+    assert "check slack-nonnegative: PASS" in summary
+    assert "check orbit-entropy-identity: PASS" in summary

@@ -260,6 +260,26 @@ def test_gap_below_float_resolution_is_refused():
         perron_data(shift, phi)
 
 
+def test_gap_prefactor_underflow_is_refused():
+    # kappa = 2.8e-10: kappa**n underflows to 0 within the probe depth while
+    # the iterate norms sit above the noise floor, so no finite c exists
+    shift = builtin_shift("full-2")
+    phi = LocallyConstantFunction.from_values(
+        shift,
+        2,
+        {("a", "a"): -3.0, ("a", "b"): -6.0, ("b", "a"): -18.0, ("b", "b"): 19.0},
+    )
+    with pytest.raises(EigensolverError, match="c = inf is not finite"):
+        perron_data(shift, phi)
+
+
+def test_transfer_matrix_overflow_names_the_word():
+    shift = builtin_shift("golden-mean")
+    phi = LocallyConstantFunction.from_values(shift, 2, {("a", "b"): 1000.0}, default=0.0)
+    with pytest.raises(ValueError, match='1000.0 on word "ab" overflows'):
+        transfer_matrix(shift, phi)
+
+
 def test_second_modulus_exact_on_128_states():
     rng = np.random.default_rng(2024)
     n = 128
