@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
 from .bounds import BoundReport, _effective
 from .measures import entropy_rate, integrate
@@ -23,6 +22,67 @@ from .shift import TransitionMatrix, build_sft, enumerate_words
 from .transfer import PerronData, edge_values, perron_data, transfer_matrix
 
 AMBIENT_A = math.sqrt(2.0)
+
+
+# Euler-Maclaurin coefficients (2k)! / B_2k of the Hurwitz zeta tail, k = 1..12
+_ZETA_EM = (
+    12.0,
+    -720.0,
+    30240.0,
+    -1209600.0,
+    47900160.0,
+    -1.8924375803183791606e9,
+    7.47242496e10,
+    -2.950130727918164224e12,
+    1.1646782814350067249e14,
+    -4.5979787224074726105e15,
+    1.8152105401943546773e17,
+    -7.1661652561756670113e18,
+)
+_MACHEP = 2.0**-53
+
+
+def hurwitz_zeta(x: float, q: float) -> float:
+    """Hurwitz zeta sum_{i >= 0} (q + i)^-x for x > 1, q > 0.
+
+    Cephes' algorithm, operation for operation: above q = 1e8 the two-term
+    asymptotic expansion (DLMF 25.11.43); otherwise a direct sum until
+    q + i > 9 (at least nine terms, stopping early once a term is below
+    MACHEP of the sum), then Euler-Maclaurin with up to twelve Bernoulli
+    terms, stopping once a correction is below MACHEP of the sum.
+    """
+    if not (x > 1.0 and q > 0.0):
+        raise ValueError("hurwitz_zeta needs x > 1 and q > 0")
+    if q > 1e8:
+        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * q ** (1.0 - x)
+    s = q**-x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a**-x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coeff in _ZETA_EM:
+        a *= x + k
+        b /= w
+        t = a * b / coeff
+        s += t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
 
 
 @dataclass(frozen=True)
@@ -46,7 +106,7 @@ class CountableModel:
             ratio, scale = self.params
             return scale * ratio / (1.0 - ratio)
         alpha, scale = self.params
-        return scale * float(hurwitz_zeta(alpha, 1))
+        return scale * hurwitz_zeta(alpha, 1.0)
 
     def tail(self, n: int) -> float:
         """Exact sum of the weights of all states beyond n."""
@@ -54,7 +114,7 @@ class CountableModel:
             ratio, scale = self.params
             return scale * ratio ** (n + 1) / (1.0 - ratio)
         alpha, scale = self.params
-        return scale * float(hurwitz_zeta(alpha, n + 1))
+        return scale * hurwitz_zeta(alpha, float(n + 1))
 
     def pressure(self) -> float:
         return math.log(self.total())

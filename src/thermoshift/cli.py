@@ -267,7 +267,7 @@ def _build_model_observable(section: _Section) -> dict:
 
 
 def _build_measure(shift: TransitionMatrix, section: _Section, seed: int):
-    plain = {k: v for k, v in (_plain_entries_tolerant(section)).items()}
+    plain = {key: (value, lineno) for key, word, value, lineno in section.entries if word is None}
     if "random" in plain:
         count, lineno = plain["random"]
         mseed = plain.get("seed", (str(seed), lineno))[0]
@@ -284,14 +284,6 @@ def _build_measure(shift: TransitionMatrix, section: _Section, seed: int):
         return ("fixed", make_markov_measure(shift, kernel))
     except ValueError as exc:
         raise ConfigError(str(exc), section.line) from None
-
-
-def _plain_entries_tolerant(section: _Section) -> dict:
-    out = {}
-    for key, word, value, lineno in section.entries:
-        if word is None:
-            out[key] = (value, lineno)
-    return out
 
 
 def parse_config(text: str) -> ExperimentConfig:

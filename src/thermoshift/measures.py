@@ -12,14 +12,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.special import rel_entr
 
 from .potential import LocallyConstantFunction
-from .shift import TransitionMatrix, enumerate_words
+from .shift import TransitionMatrix, enumerate_words, strong_components
 
 STATIONARY_TOL = 1e-12
+# how far a kernel row sum may miss 1 before make_markov_measure refuses it
+KERNEL_ROW_TOL = 1e-9
 
 
 def _shannon(weights) -> float:
@@ -81,8 +80,9 @@ class MarkovMeasure:
 
 
 def _recurrent_classes(adjacency: np.ndarray):
-    """Strongly connected components with no outgoing edge, as index lists."""
-    ncomp, comp = connected_components(csr_matrix(adjacency), connection="strong")
+    """Strongly connected components with no outgoing edge, as sorted index
+    lists in the order of their smallest state."""
+    ncomp, comp = strong_components(adjacency)
     closed = []
     for c in range(ncomp):
         members = np.flatnonzero(comp == c)
@@ -107,7 +107,7 @@ def make_markov_measure(shift: TransitionMatrix, kernel) -> MarkovMeasure:
     if np.any((p > 0.0) & (shift.matrix == 0)):
         raise ValueError("kernel puts mass on a forbidden transition")
     rows = p.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > 1e-9):
+    if np.any(np.abs(rows - 1.0) > KERNEL_ROW_TOL):
         raise ValueError("kernel rows must sum to 1")
     p = p / rows[:, None]
 
@@ -270,6 +270,29 @@ def information_function(mu: MarkovMeasure) -> LocallyConstantFunction:
     return LocallyConstantFunction(base=mu.base, depth=2, table=table)
 
 
+def _rel_entr(x: float, y: float) -> float:
+    """The term x log(x / y) of a divergence, with 0 log(0 / y) = 0 and
+    x log(x / 0) = inf for x > 0.
+
+    The branches are those of the usual ``rel_entr``: log1p when x / y lies
+    in (1/2, 2), a difference of logs when x / y under- or overflows.  The
+    logs are scalar ``math`` calls on purpose: numpy's vectorised log and
+    log1p can differ from libm in the last bit.
+    """
+    if math.isnan(x) or math.isnan(y):
+        return math.nan
+    if x > 0.0 and y > 0.0:
+        ratio = x / y
+        if 0.5 < ratio < 2.0:
+            return x * math.log1p((x - y) / y)
+        if 0.0 < ratio < math.inf:
+            return x * math.log(ratio)
+        return x * (math.log(x) - math.log(y))
+    if x == 0.0 and y >= 0.0:
+        return 0.0
+    return math.inf
+
+
 def kl_divergence(p, q) -> float:
     """Divergence of q from the reference p: sum_i q_i log(q_i / p_i).
 
@@ -284,7 +307,8 @@ def kl_divergence(p, q) -> float:
         raise ValueError("negative entries")
     if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
         raise ValueError("arguments must be probability vectors")
-    total = float(rel_entr(q, p).sum())
+    # a full-length array keeps numpy's pairwise summation order
+    total = float(np.array([_rel_entr(x, y) for x, y in zip(q.tolist(), p.tolist())]).sum())
     if -1e-12 < total < 0.0:
         total = 0.0
     return total

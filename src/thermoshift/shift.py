@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 WORD_CAP = 10_000_000
 
@@ -129,11 +127,68 @@ def build_sft(states, edges, require_mixing: bool = False) -> TransitionMatrix:
     return shift
 
 
+def strong_components(adjacency) -> tuple:
+    """Strongly connected components of the directed graph with the given
+    square adjacency matrix (nonzero entry = edge), as (count, labels).
+
+    Kosaraju's two searches, iterative, O(n + e): one over the edges for a
+    finishing order, one over the reversed edges in reverse finishing order.
+    Components are numbered 0, 1, ... in the order of their smallest state.
+    """
+    a = np.asarray(adjacency) != 0
+    n = a.shape[0]
+    heads, tails = np.nonzero(a)
+    by_tail = np.argsort(tails, kind="stable")
+    succ = _adjacency_lists(n, heads, tails)
+    pred = _adjacency_lists(n, tails[by_tail], heads[by_tail])
+
+    order = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, edges = stack[-1]
+            for w in edges:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                stack.pop()
+                order.append(v)
+
+    found = [-1] * n
+    count = 0
+    for root in reversed(order):
+        if found[root] >= 0:
+            continue
+        found[root] = count
+        stack = [root]
+        while stack:
+            for w in pred[stack.pop()]:
+                if found[w] < 0:
+                    found[w] = count
+                    stack.append(w)
+        count += 1
+
+    renumber = {}
+    labels = np.array([renumber.setdefault(c, len(renumber)) for c in found], dtype=np.int64)
+    return count, labels
+
+
+def _adjacency_lists(n: int, heads: np.ndarray, tails: np.ndarray) -> list:
+    """Per-state lists of tails, from edge arrays sorted by head."""
+    bounds = np.searchsorted(heads, np.arange(n + 1)).tolist()
+    tails = tails.tolist()
+    return [tails[bounds[i]:bounds[i + 1]] for i in range(n)]
+
+
 def is_topologically_mixing(shift: TransitionMatrix) -> bool:
     """Irreducible plus aperiodic; equivalently some power is entrywise positive."""
-    m = shift.matrix
-    ncomp, _ = connected_components(csr_matrix(m), directed=True, connection="strong")
-    if ncomp != 1:
+    if strong_components(shift.matrix)[0] != 1:
         return False
     # gcd of cycle lengths via BFS levels: for every edge (u, v) the value
     # d[u] + 1 - d[v] is a multiple of the period.

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measures import MarkovMeasure, reverse_kernel
+from .measures import KERNEL_ROW_TOL, MarkovMeasure, reverse_kernel
 from .potential import LocallyConstantFunction, recode_to_markovian
 from .shift import (
     NotMixingError,
@@ -177,7 +177,16 @@ def perron_data(
             f"spectral gap 1 - kappa = {1.0 - kappa:.3g} (kappa = {kappa!r}) is below "
             f"{GAP_FLOOR:g}: the constants cannot be certified at float precision"
         )
-    c = _gap_prefactor(p, reverse_kernel(measure), pi, kappa)
+    # q[j, i] = pi_i p_ij / pi_j: rows that miss 1 carry a pi too inaccurate
+    # for q^n to approach 1 pi, and a c probed from them says nothing
+    q = reverse_kernel(measure)
+    drift = float(np.max(np.abs(q.sum(axis=1) - 1.0)))
+    if drift > KERNEL_ROW_TOL:
+        raise EigensolverError(
+            f"reversed kernel rows miss 1 by up to {drift:.3g} (tolerance "
+            f"{KERNEL_ROW_TOL:g}): pi is too inaccurate to certify the constants"
+        )
+    c = _gap_prefactor(p, q, pi, kappa)
     if not math.isfinite(c):
         raise EigensolverError(
             f"gap prefactor c = {c} is not finite (kappa = {kappa!r}): "

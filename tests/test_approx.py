@@ -8,6 +8,7 @@ from thermoshift.approx import (
     AMBIENT_A,
     combined_orbit_harness,
     geometric_model,
+    hurwitz_zeta,
     orbit_entropy_identity,
     periodic_orbit_harness,
     periodic_orbit_measure,
@@ -40,6 +41,150 @@ def test_zeta_closed_forms():
     assert model.total() == pytest.approx(math.pi**2 / 6.0, abs=1e-12)
     head = sum(1.0 / s**2 for s in range(1, 7))
     assert model.tail(6) == pytest.approx(math.pi**2 / 6.0 - head, abs=1e-12)
+
+
+# (x, q, zeta(x, q)) from scipy 1.17's scipy.special.zeta, which this package
+# called before carrying its own port; compared with ==.  The pairs are those
+# the default zeta(2) and zeta(3.0) configs read (q = 1 and q = n + 1 for
+# n = 2..20), those of the benchmark's zeta models (seeds 1-2, batches 0-1),
+# and five more: q < 1, a large x, a large q, the q > 1e8 asymptotic form,
+# and a direct sum that stops before q + i passes 9.
+ZETA_PINNED = (
+    (2.0, 1.0, 1.6449340668482266),
+    (2.0, 3.0, 0.39493406684822646),
+    (2.0, 4.0, 0.28382295573711525),
+    (2.0, 5.0, 0.22132295573711533),
+    (2.0, 6.0, 0.18132295573711532),
+    (2.0, 7.0, 0.15354517795933756),
+    (2.0, 8.0, 0.13313701469403144),
+    (2.0, 9.0, 0.11751201469403141),
+    (2.0, 10.0, 0.10516633568168576),
+    (2.0, 11.0, 0.09516633568168575),
+    (2.0, 12.0, 0.0869018728717684),
+    (2.0, 13.0, 0.07995742842732394),
+    (2.0, 14.0, 0.07404026866401034),
+    (2.0, 15.0, 0.0689382278476838),
+    (2.0, 16.0, 0.06449378340323936),
+    (2.0, 17.0, 0.06058753340323937),
+    (2.0, 18.0, 0.05712732579078261),
+    (2.0, 19.0, 0.0540409060376962),
+    (2.0, 20.0, 0.051270822935203124),
+    (2.0, 21.0, 0.04877082293520312),
+    (3.0, 1.0, 1.202056903159594),
+    (3.0, 3.0, 0.07705690315959428),
+    (3.0, 4.0, 0.04001986612255725),
+    (3.0, 5.0, 0.024394866122557243),
+    (3.0, 6.0, 0.01639486612255725),
+    (3.0, 7.0, 0.011765236492927617),
+    (3.0, 8.0, 0.008849784597883886),
+    (3.0, 9.0, 0.006896659597883886),
+    (3.0, 10.0, 0.005524917485401034),
+    (3.0, 11.0, 0.004524917485401034),
+    (3.0, 12.0, 0.003773602684499457),
+    (3.0, 13.0, 0.0031948989807957526),
+    (3.0, 14.0, 0.0027397328451562444),
+    (3.0, 15.0, 0.0023753013582757773),
+    (3.0, 16.0, 0.0020790050619794815),
+    (3.0, 17.0, 0.0018348644369794813),
+    (3.0, 18.0, 0.0016313228127173194),
+    (3.0, 19.0, 0.001459855048656963),
+    (3.0, 20.0, 0.0013140612011573272),
+    (3.0, 21.0, 0.0011890612011573275),
+    (2.028749, 1.0, 1.618779469408999),
+    (2.028749, 3.0, 0.3737119824550474),
+    (2.028749, 4.0, 0.2660553646671917),
+    (2.028749, 5.0, 0.20599729150526663),
+    (2.028749, 6.0, 0.1678059157876316),
+    (2.028749, 7.0, 0.14142277901239972),
+    (2.028749, 8.0, 0.12212496144714638),
+    (2.028749, 9.0, 0.10740668038605686),
+    (2.028749, 10.0, 0.09581673303253642),
+    (2.028749, 11.0, 0.08645726856210144),
+    (2.028749, 12.0, 0.07874333966632718),
+    (2.028749, 13.0, 0.07227769063885871),
+    (2.028749, 14.0, 0.06678116145816718),
+    (2.028749, 15.0, 0.06205189380375469),
+    (2.028749, 16.0, 0.05794033946532886),
+    (2.028749, 17.0, 0.05433336731340573),
+    (2.028749, 18.0, 0.05114382784073377),
+    (2.028749, 19.0, 0.04830350856887791),
+    (2.028749, 20.0, 0.0457582617060696),
+    (2.995032, 1.0, 1.2030441605969777),
+    (3.925065, 1.0, 1.0876749861778217),
+    (3.925065, 3.0, 0.021842887534143825),
+    (3.925065, 4.0, 0.008437849135826648),
+    (3.925065, 5.0, 0.004103983923995731),
+    (3.925065, 6.0, 0.0022989004093541426),
+    (3.925065, 7.0, 0.0014164185991938393),
+    (3.925065, 8.0, 0.0009345426381197514),
+    (3.925065, 9.0, 0.0006492351959860948),
+    (3.925065, 10.0, 0.000469540141525737),
+    (3.925065, 11.0, 0.00035070770552977546),
+    (3.925065, 12.0, 0.00026896179789278924),
+    (3.925065, 13.0, 0.0002108661683150648),
+    (3.925065, 14.0, 0.00016843353973735296),
+    (3.925065, 15.0, 0.00013671063393390657),
+    (3.925065, 16.0, 0.00011251342010796676),
+    (3.925065, 17.0, 9.37310324336485e-05),
+    (3.925065, 18.0, 7.892604631891533e-05),
+    (3.925065, 19.0, 6.70963437679e-05),
+    (3.925065, 20.0, 5.7528611869128446e-05),
+    (3.018855, 1.0, 1.1983634352236938),
+    (3.018855, 3.0, 0.07498646744347214),
+    (3.018855, 4.0, 0.0387087365766506),
+    (3.018855, 5.0, 0.023486860398008905),
+    (3.018855, 6.0, 0.015725981484427744),
+    (3.018855, 7.0, 0.011250145052132374),
+    (3.018855, 8.0, 0.008439722922994216),
+    (3.018855, 9.0, 0.006561693996147427),
+    (3.018855, 10.0, 0.0052456202393018885),
+    (3.018855, 11.0, 0.004288106531634791),
+    (3.018855, 12.0, 0.0035700039543087453),
+    (3.018855, 13.0, 0.0030177888270119),
+    (3.018855, 14.0, 0.002584111676066491),
+    (3.018855, 15.0, 0.002237370315590992),
+    (3.988325, 1.0, 1.0831322259804823),
+    (3.988325, 3.0, 0.02012439310150332),
+    (3.988325, 4.0, 0.00761934485148903),
+    (3.988325, 5.0, 0.0036493578473836465),
+    (3.988325, 6.0, 0.002019009312777051),
+    (3.988325, 7.0, 0.001231093322496579),
+    (3.988325, 8.0, 0.0008050297941465261),
+    (3.988325, 9.0, 0.0005548895164601345),
+    (3.988325, 10.0, 0.00039851328472494905),
+    (3.988325, 11.0, 0.0002957885567219679),
+    (3.988325, 12.0, 0.0002255480689207635),
+    (3.223792, 1.0, 1.1630932895827266),
+    (2.037728, 1.0, 1.610926268148018),
+    (2.874818, 1.0, 1.2288677092925402),
+    (2.312596, 1.0, 1.425781351889782),
+    (3.738467, 1.0, 1.1028084954835915),
+    (2.0995, 1.0, 1.5605992535748885),
+    (2.861764, 1.0, 1.2319127152499418),
+    (2.132346, 1.0, 1.536227683682436),
+    (2.151516, 1.0, 1.5226938185010483),
+    (1.5, 0.25, 10.213055360466601),
+    (7.5, 37.25, 1.0286351893651256e-11),
+    (2.5, 100000.0, 2.1082009182331015e-08),
+    (1.5, 200000000.0, 0.0001414213564140862),
+    (40.0, 1.0, 1.0000000000009095),
+)
+
+
+@pytest.mark.parametrize("x, q, expected", ZETA_PINNED)
+def test_hurwitz_zeta_pinned(x, q, expected):
+    assert hurwitz_zeta(x, q) == expected
+
+
+@pytest.mark.parametrize("x, exact", [(2.0, math.pi**2 / 6.0), (4.0, math.pi**4 / 90.0)])
+def test_hurwitz_zeta_riemann_values(x, exact):
+    assert abs(hurwitz_zeta(x, 1.0) - exact) <= 2 * math.ulp(exact)
+
+
+def test_hurwitz_zeta_domain():
+    for x, q in ((1.0, 1.0), (0.5, 1.0), (2.0, 0.0), (2.0, -0.5), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            hurwitz_zeta(x, q)
 
 
 def test_model_validation():

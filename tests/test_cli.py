@@ -309,3 +309,36 @@ def test_corollary2_default_model_runs_k_3_to_12(tmp_path, capsys, model):
     summary = capsys.readouterr().out
     assert "check slack-nonnegative: PASS" in summary
     assert "check orbit-entropy-identity: PASS" in summary
+
+
+# pi has entries near 4e-16 here, so the reversed kernel's rows miss 1 by
+# about 1.8e-4 and its powers never approach 1 pi
+INACCURATE_PI = (
+    "[shift]\nstates = a b c d\nedges = aa ac bc cb cc cd da db dd\n"
+    "[potential]\nrange = 2\n"
+    'value "aa" = 0.047053\nvalue "ac" = -0.169062\nvalue "bc" = -6.895943\n'
+    'value "cb" = -0.724135\nvalue "cc" = 0.299483\nvalue "cd" = -9.739944\n'
+    'value "da" = 2.607777\nvalue "db" = 9.590897\nvalue "dd" = 9.385795\n'
+    "[experiment]\nkind = pressure\n"
+)
+
+
+def test_non_stochastic_reversed_kernel_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "pi.cfg"
+    cfg.write_text(INACCURATE_PI)
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "reversed kernel rows miss 1 by up to 0.00018" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, thermoshift; print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -143,6 +143,38 @@ def test_kl_divergence_edge_cases():
         kl_divergence(np.array([0.5, 0.6]), p)
 
 
+# (p, q, D(q || p)) from scipy 1.17's rel_entr(q, p).sum(), the route this
+# package used before computing the terms itself; compared with ==
+KL_PINNED = (
+    ([0.5, 0.25, 0.125, 0.125], [0.4, 0.3, 0.2, 0.1], 0.037125417230228636),
+    ([0.7, 0.2, 0.1], [0.1, 0.2, 0.7], 1.1675460894331877),
+    ([0.5, 0.5, 0.0], [1.0, 0.0, 0.0], 0.6931471805599453),
+    (
+        [0.3333333333333333, 0.3333333333333333, 0.3333333333333334],
+        [0.33, 0.33, 0.34],
+        9.967161739014851e-05,
+    ),
+    (
+        [0.05, 0.15, 0.1, 0.2, 0.05, 0.1, 0.1, 0.05, 0.1, 0.05, 0.025, 0.025],
+        [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05, 0.1],
+        0.16739764335716714,
+    ),
+    ([1.0, 0.0], [0.5, 0.5], math.inf),
+)
+
+
+@pytest.mark.parametrize("p, q, expected", KL_PINNED)
+def test_kl_divergence_pinned(p, q, expected):
+    assert kl_divergence(np.array(p), np.array(q)) == expected
+
+
+def test_kl_divergence_pinned_long_vector():
+    # 200 terms: numpy's pairwise summation, not a left-to-right sum
+    n = np.arange(1.0, 201.0)
+    p, q = n / n.sum(), n**2 / (n**2).sum()
+    assert kl_divergence(p, q) == 0.07212660369114789
+
+
 def test_kl_nonnegative_battery():
     rng = np.random.default_rng(101)
     for _ in range(1000):

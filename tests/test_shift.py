@@ -11,6 +11,7 @@ from thermoshift.shift import (
     enumerate_words,
     higher_block_recode,
     is_topologically_mixing,
+    strong_components,
 )
 from thermoshift.systems import builtin_shift
 
@@ -157,3 +158,45 @@ def test_enumerated_words_are_admissible(states_edges):
         assert len(words) == int(np.sum(np.linalg.matrix_power(a, n - 1)))
         for w in words:
             assert shift.is_word(w)
+
+
+def mutual_reachability_labels(adjacency):
+    """Oracle: i and j share a component when each reaches the other by a
+    path of length >= 0; components numbered by their smallest state."""
+    n = len(adjacency)
+    reach = (np.asarray(adjacency) != 0) | np.eye(n, dtype=bool)
+    for k in range(n):  # Warshall's transitive closure
+        reach |= reach[:, [k]] & reach[[k], :]
+    same = reach & reach.T
+    labels = -np.ones(n, dtype=np.int64)
+    count = 0
+    for i in range(n):
+        if labels[i] < 0:
+            labels[same[i]] = count
+            count += 1
+    return count, labels
+
+
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n).map(
+            lambda bits: np.array(bits, dtype=np.int8).reshape(n, n)
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_strong_components_match_mutual_reachability(adjacency):
+    count, labels = strong_components(adjacency)
+    want_count, want = mutual_reachability_labels(adjacency)
+    assert count == want_count
+    assert labels.tolist() == want.tolist()
+
+
+def test_mixing_on_a_long_cycle_needs_no_recursion():
+    # 2000 states in one cycle: a recursive search would pass Python's
+    # default recursion limit of 1000
+    n = 2000
+    states = [f"s{i}" for i in range(n)]
+    edges = [(states[i], states[(i + 1) % n]) for i in range(n)]
+    assert not is_topologically_mixing(build_sft(states, edges))
+    assert is_topologically_mixing(build_sft(states, edges + [("s7", "s7")]))
