@@ -69,13 +69,13 @@ def reduction_step_norms(data: PerronData, depth: int):
     range-(k-1) tables, k = depth..2.  Each step averages over admissible
     one-symbol pasts with the reversed-kernel weights, so the norms come out
     exactly 1; they are computed rather than assumed."""
-    q = reverse_kernel(data.measure)
+    q = reverse_kernel(data.measure).tolist()
+    rows = data.shift._rows
     norms = []
     for k in range(depth, 1, -1):
         worst = 0.0
         for w in enumerate_words(data.shift, k - 1):
-            row = sum(abs(q[w[0], s]) for s in range(data.shift.n)
-                      if data.shift.matrix[s, w[0]])
+            row = sum(abs(q[w[0]][s]) for s in range(data.shift.n) if rows[s][w[0]])
             worst = max(worst, row)
         norms.append(worst)
     return norms

@@ -9,7 +9,7 @@ throughout, with the convention 0 log 0 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,11 +29,17 @@ def _shannon(weights) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MarkovMeasure:
-    """A shift-invariant Markov probability: stationary pi plus kernel p."""
+    """A shift-invariant Markov probability: stationary pi plus kernel p.
+
+    The measure is immutable; ``word_probability`` reads plain-Python copies
+    of ``kernel`` (``_rows``) and ``initial`` (``_pi``) built here once.
+    """
 
     base: TransitionMatrix
     kernel: np.ndarray
     initial: np.ndarray
+    _rows: tuple = field(default=None, repr=False, compare=False)
+    _pi: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.base.n
@@ -41,6 +47,10 @@ class MarkovMeasure:
         pi = np.array(self.initial, dtype=float)
         if p.shape != (n, n) or pi.shape != (n,):
             raise ValueError("kernel or stationary vector has the wrong shape")
+        # every comparison below is False on nan, so nan would pass them all
+        for name, v in (("kernel", p), ("initial", pi)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} has non-finite entries")
         if np.any(p < 0.0) or np.any(pi < 0.0):
             raise ValueError("negative probabilities")
         if np.any((p > 0.0) & (self.base.matrix == 0)):
@@ -62,6 +72,8 @@ class MarkovMeasure:
         pi.setflags(write=False)
         object.__setattr__(self, "kernel", p)
         object.__setattr__(self, "initial", pi)
+        object.__setattr__(self, "_rows", tuple(map(tuple, p.tolist())))
+        object.__setattr__(self, "_pi", tuple(pi.tolist()))
 
     @property
     def support(self):
@@ -71,12 +83,13 @@ class MarkovMeasure:
         word = tuple(word)
         if not self.base.is_word(word):
             raise ValueError("inadmissible word")
-        p = self.initial[word[0]]
+        rows = self._rows
+        p = self._pi[word[0]]
         for i, j in zip(word, word[1:]):
             if p == 0.0:
                 return 0.0
-            p *= self.kernel[i, j]
-        return float(p)
+            p *= rows[i][j]
+        return p
 
 
 def _recurrent_classes(adjacency: np.ndarray):
@@ -102,6 +115,8 @@ def make_markov_measure(shift: TransitionMatrix, kernel) -> MarkovMeasure:
     p = np.asarray(kernel, dtype=float)
     if p.shape != (shift.n, shift.n):
         raise ValueError(f"kernel must be {shift.n}x{shift.n}")
+    if not np.isfinite(p).all():
+        raise ValueError("kernel has non-finite entries")
     if np.any(p < 0.0):
         raise ValueError("kernel has negative entries")
     if np.any((p > 0.0) & (shift.matrix == 0)):
@@ -232,9 +247,9 @@ def reverse_kernel(mu: MarkovMeasure) -> np.ndarray:
     Rows at states of stationary mass zero are left identically zero.
     """
     pi, p = mu.initial, mu.kernel
+    live = pi > 0.0
     q = np.zeros_like(p)
-    for j in np.flatnonzero(pi > 0.0):
-        q[j, :] = pi * p[:, j] / pi[j]
+    q[live] = (pi[:, None] * p).T[live] / pi[live, None]
     return q
 
 
@@ -277,10 +292,9 @@ def _rel_entr(x: float, y: float) -> float:
     The branches are those of the usual ``rel_entr``: log1p when x / y lies
     in (1/2, 2), a difference of logs when x / y under- or overflows.  The
     logs are scalar ``math`` calls on purpose: numpy's vectorised log and
-    log1p can differ from libm in the last bit.
+    log1p can differ from libm in the last bit.  Both arguments are finite
+    and nonnegative (``kl_divergence`` checks).
     """
-    if math.isnan(x) or math.isnan(y):
-        return math.nan
     if x > 0.0 and y > 0.0:
         ratio = x / y
         if 0.5 < ratio < 2.0:
@@ -303,12 +317,17 @@ def kl_divergence(p, q) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError("length mismatch")
+    ps, qs = p.tolist(), q.tolist()
+    # nan passes the sign and sum checks below, since each comparison is False
+    for name, v in (("p", ps), ("q", qs)):
+        if not all(map(math.isfinite, v)):
+            raise ValueError(f"{name} has non-finite entries")
     if np.any(p < 0.0) or np.any(q < 0.0):
         raise ValueError("negative entries")
     if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
         raise ValueError("arguments must be probability vectors")
     # a full-length array keeps numpy's pairwise summation order
-    total = float(np.array([_rel_entr(x, y) for x, y in zip(q.tolist(), p.tolist())]).sum())
+    total = float(np.array([_rel_entr(x, y) for x, y in zip(qs, ps)]).sum())
     if -1e-12 < total < 0.0:
         total = 0.0
     return total

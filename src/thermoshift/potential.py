@@ -115,9 +115,9 @@ class LocallyConstantFunction:
                 raise ValueError("cyclic sum needs a word of length exactly n")
             if not self.base.is_cycle(word):
                 raise ValueError("word is not cyclically admissible")
-            return float(
-                sum(self.table[tuple(word[(i + j) % n] for j in range(r))] for i in range(n))
-            )
+            # enough copies that every window word[i:i+r], i < n, wraps around
+            word = word * -(-(n + r - 1) // n)
+            return float(sum(self.table[word[i : i + r]] for i in range(n)))
         if len(word) < n + r - 1:
             raise ValueError(f"need at least {n + r - 1} symbols, got {len(word)}")
         if not self.base.is_word(word):

@@ -33,16 +33,21 @@ class TransitionMatrix:
 
     ``matrix[i, j] == 1`` means the two-letter word (i, j) is admissible.
     ``removed`` records the labels pruned away during construction because
-    they had no outgoing or no incoming edge.
+    they had no outgoing or no incoming edge.  The shift is immutable; the
+    per-word readers use plain-Python copies of ``matrix`` built here once:
+    ``_rows[i][j]`` (a bool) and ``_succ[i]`` (the successors of i, sorted).
     """
 
     states: tuple
     matrix: np.ndarray
     removed: tuple = ()
     _index: dict = field(default=None, repr=False, compare=False)
+    _rows: tuple = field(default=None, repr=False, compare=False)
+    _succ: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.int8)
+        # a private copy: the tables below must keep agreeing with it
+        m = np.array(self.matrix, dtype=np.int8)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(self.states):
             raise ValueError("matrix shape does not match the state count")
         if not np.isin(m, (0, 1)).all():
@@ -50,6 +55,11 @@ class TransitionMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
+        rows = tuple(tuple(bool(x) for x in row) for row in m.tolist())
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(
+            self, "_succ", tuple(tuple(j for j, x in enumerate(row) if x) for row in rows)
+        )
 
     @property
     def n(self) -> int:
@@ -62,7 +72,7 @@ class TransitionMatrix:
             raise ValueError(f"unknown state {label!r}") from None
 
     def successors(self, i: int) -> list:
-        return np.flatnonzero(self.matrix[i]).tolist()
+        return list(self._succ[i])
 
     def labels(self, word) -> tuple:
         return tuple(self.states[i] for i in word)
@@ -71,13 +81,14 @@ class TransitionMatrix:
         """True when ``word`` is a nonempty admissible index tuple."""
         if len(word) == 0:
             return False
-        if any(not (0 <= i < self.n) for i in word):
+        rows = self._rows
+        if min(word) < 0 or max(word) >= len(rows):
             return False
-        return all(self.matrix[word[k], word[k + 1]] for k in range(len(word) - 1))
+        return all(rows[a][b] for a, b in zip(word, word[1:]))
 
     def is_cycle(self, word) -> bool:
         """True when ``word`` reads admissibly with wrap-around."""
-        return self.is_word(word) and bool(self.matrix[word[-1], word[0]])
+        return self.is_word(word) and self._rows[word[-1]][word[0]]
 
     def same_shift(self, other: "TransitionMatrix") -> bool:
         return self.states == other.states and np.array_equal(self.matrix, other.matrix)
@@ -192,19 +203,20 @@ def is_topologically_mixing(shift: TransitionMatrix) -> bool:
         return False
     # gcd of cycle lengths via BFS levels: for every edge (u, v) the value
     # d[u] + 1 - d[v] is a multiple of the period.
-    dist = np.full(shift.n, -1, dtype=np.int64)
+    succ = shift._succ
+    dist = [-1] * shift.n
     dist[0] = 0
     queue = [0]
     g = 0
     while queue:
         u = queue.pop()
-        for v in shift.successors(u):
+        for v in succ[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     for u in range(shift.n):
-        for v in shift.successors(u):
-            g = math.gcd(g, int(dist[u] + 1 - dist[v]))
+        for v in succ[u]:
+            g = math.gcd(g, dist[u] + 1 - dist[v])
     return g == 1
 
 
@@ -224,7 +236,7 @@ def enumerate_words(shift: TransitionMatrix, n: int, cap: int = WORD_CAP) -> lis
         raise EnumerationLimitError(
             f"about {est:.3g} words of length {n}, cap is {cap}"
         )
-    succ = [shift.successors(i) for i in range(shift.n)]
+    succ = shift._succ
     words = [(i,) for i in range(shift.n)]
     for _ in range(n - 1):
         words = [w + (j,) for w in words for j in succ[w[-1]]]
@@ -236,7 +248,8 @@ def enumerate_periodic(shift: TransitionMatrix, k: int, cap: int = WORD_CAP) -> 
     if k < 1:
         raise ValueError("period must be at least 1")
     words = enumerate_words(shift, k, cap=cap)
-    return [w for w in words if shift.matrix[w[-1], w[0]]]
+    rows = shift._rows
+    return [w for w in words if rows[w[-1]][w[0]]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,11 +318,12 @@ def higher_block_recode(shift: TransitionMatrix, ell: int, cap: int = WORD_CAP) 
         raise ValueError("block length must be at least 2")
     blocks = enumerate_words(shift, ell - 1, cap=cap)
     nb = len(blocks)
+    # block u is followed by each admissible one-symbol extension of its tail
+    position = {b: u for u, b in enumerate(blocks)}
     m = np.zeros((nb, nb), dtype=np.int8)
     for u, bu in enumerate(blocks):
-        for v, bv in enumerate(blocks):
-            if bu[1:] == bv[:-1] and shift.matrix[bu[-1], bv[-1]]:
-                m[u, v] = 1
+        for s in shift._succ[bu[-1]]:
+            m[u, position[bu[1:] + (s,)]] = 1
     new = TransitionMatrix(
         states=tuple(_block_label(shift, b) for b in blocks),
         matrix=m,

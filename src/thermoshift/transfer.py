@@ -26,6 +26,10 @@ from .shift import (
 )
 
 GAP_PROBE_DEPTH = 50
+# the probe reduces its iterate norms a block of powers at a time, with at
+# most this many entries per block: one numpy reduction per kernel on small
+# shifts, cache-sized temporaries (not 50 n^2 floats) on large ones
+PROBE_BLOCK_ENTRIES = 1 << 15
 # iterate norms at float-noise level say nothing about the true decay rate
 NOISE_FLOOR = 1e-13
 # a few ulps of error in kappa move 1/(1 - kappa), and with it a and b, by
@@ -131,13 +135,20 @@ def _gap_prefactor(p: np.ndarray, q: np.ndarray, pi: np.ndarray, kappa: float) -
     Norms are sup-operator norms of p^n - 1 pi (max absolute row sum), probed
     for n up to GAP_PROBE_DEPTH; values at float-noise level are skipped.
     """
+    size = len(pi)
     limit = np.outer(np.ones_like(pi), pi)
+    block = np.empty((max(1, min(GAP_PROBE_DEPTH, PROBE_BLOCK_ENTRIES // size**2)), size, size))
     c = 1.0
     for kernel in (p, q):
-        power = np.eye(len(pi))
-        for n in range(1, GAP_PROBE_DEPTH + 1):
-            power = power @ kernel
-            norm = float(np.max(np.abs(power - limit).sum(axis=1)))
+        power = np.eye(size)
+        norms = []
+        for start in range(0, GAP_PROBE_DEPTH, len(block)):
+            count = min(len(block), GAP_PROBE_DEPTH - start)
+            for k in range(count):
+                power = power @ kernel
+                block[k] = power
+            norms += np.abs(block[:count] - limit).sum(axis=2).max(axis=1).tolist()
+        for n, norm in enumerate(norms, start=1):
             if norm <= NOISE_FLOOR:
                 continue
             decay = kappa**n if kappa > 0.0 else 1.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from thermoshift.measures import (
+    MarkovMeasure,
     block_entropy,
     conditional_entropy,
     conditional_kl_integral,
@@ -47,6 +48,23 @@ def test_entropy_rate_oracle(symmetric):
 def test_two_recurrent_classes_rejected(full2):
     with pytest.raises(ValueError, match="recurrent"):
         make_markov_measure(full2, np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_kernel_rejected(full2, bad):
+    # nan once gave pi = [1, 0] and entropy rate 0: every comparison was False
+    with pytest.raises(ValueError, match="kernel has non-finite"):
+        make_markov_measure(full2, np.array([[bad, 0.5], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_markov_measure_rejects_non_finite_arguments(full2, bad):
+    kernel = np.array([[0.5, 0.5], [0.5, 0.5]])
+    initial = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="kernel has non-finite"):
+        MarkovMeasure(base=full2, kernel=np.array([[bad, 0.5], [0.5, 0.5]]), initial=initial)
+    with pytest.raises(ValueError, match="initial has non-finite"):
+        MarkovMeasure(base=full2, kernel=kernel, initial=np.array([0.5, bad]))
 
 
 def test_transient_state_gets_zero_mass():
@@ -173,6 +191,19 @@ def test_kl_divergence_pinned_long_vector():
     n = np.arange(1.0, 201.0)
     p, q = n / n.sum(), n**2 / (n**2).sum()
     assert kl_divergence(p, q) == 0.07212660369114789
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kl_divergence_rejects_non_finite_entries(bad):
+    good, poisoned = [0.5, 0.5], [bad, 0.5]
+    with pytest.raises(ValueError, match="p has non-finite"):
+        kl_divergence(poisoned, good)
+    with pytest.raises(ValueError, match="q has non-finite"):
+        kl_divergence(good, poisoned)
+    with pytest.raises(ValueError, match="non-finite"):
+        pinsker_gap(poisoned, good)
+    with pytest.raises(ValueError, match="non-finite"):
+        pinsker_gap(good, poisoned)
 
 
 def test_kl_nonnegative_battery():
