@@ -420,36 +420,39 @@ def combined_orbit_harness(sub: FiniteSubsystem, values: dict, k_range) -> list:
 
 
 def stability_bound(
-    phi: LocallyConstantFunction,
+    data: PerronData,
     psi: LocallyConstantFunction,
     f: LocallyConstantFunction,
 ) -> BoundReport:
-    """Distance between the two equilibrium measures against the square root
-    of the sup distance between the zero-pressure normalizations.
+    """Distance between the equilibrium measures of phi = data.phi and psi
+    against the square root of the sup distance between the zero-pressure
+    normalizations.
 
     Also verifies the exact exchange identity: minus the entropy of psi's
     equilibrium minus its integral of the normalized phi equals its integral
     of (psi - phi) normalized.
     """
-    if phi.depth > 2 or psi.depth > 2:
+    phi = data.phi
+    if psi.depth > 2:
         raise ValueError("potentials must have range at most 2")
     if not phi.base.same_shift(psi.base) or not phi.base.same_shift(f.base):
         raise ValueError("inputs live on different shifts")
-    data_phi = perron_data(phi.base, phi)
     data_psi = perron_data(psi.base, psi)
-    phi0 = phi.plus_constant(-data_phi.pressure)
+    phi0 = phi.plus_constant(-data.pressure)
     psi0 = psi.plus_constant(-data_psi.pressure)
 
-    mu_phi = data_phi.measure
     mu_psi = data_psi.measure
-    lhs = abs(integrate(mu_phi, f) - integrate(mu_psi, f))
+    mu_phi_f = integrate(data.measure, f)
+    mu_psi_f = integrate(mu_psi, f)
+    lhs = abs(mu_phi_f - mu_psi_f)
     diff = sup_diff(phi0, psi0)
     norms = f.norms()
-    eff, steps = _effective(data_phi.a, data_phi, f)
+    eff, steps = _effective(data.a, data, f)
     rhs = eff * norms.total * math.sqrt(diff)
 
-    identity_lhs = -entropy_rate(mu_psi) - integrate(mu_psi, phi0)
-    identity_rhs = integrate(mu_psi, psi0) - integrate(mu_psi, phi0)
+    psi_phi0 = integrate(mu_psi, phi0)
+    identity_lhs = -entropy_rate(mu_psi) - psi_phi0
+    identity_rhs = integrate(mu_psi, psi0) - psi_phi0
     if abs(identity_lhs - identity_rhs) > 1e-10:
         raise RuntimeError(
             f"pressure exchange identity violated: {identity_lhs} vs {identity_rhs}"
@@ -461,8 +464,8 @@ def stability_bound(
         vacuous=False,
         constants={
             "a": eff,
-            "c": data_phi.c,
-            "kappa": data_phi.kappa,
+            "c": data.c,
+            "kappa": data.kappa,
             "reduction_norms": steps,
         },
         terms={
@@ -472,8 +475,8 @@ def stability_bound(
             "identity_lhs": identity_lhs,
             "identity_rhs": identity_rhs,
             "thm_gap": identity_rhs,
-            "mu_phi_f": integrate(mu_phi, f),
-            "mu_psi_f": integrate(mu_psi, f),
+            "mu_phi_f": mu_phi_f,
+            "mu_psi_f": mu_psi_f,
         },
         params={},
     )

@@ -68,17 +68,20 @@ def reduction_step_norms(data: PerronData, depth: int):
     """Sup-operator norms of the averaging steps taking range-k tables to
     range-(k-1) tables, k = depth..2.  Each step averages over admissible
     one-symbol pasts with the reversed-kernel weights, so the norms come out
-    exactly 1; they are computed rather than assumed."""
-    q = reverse_kernel(data.measure).tolist()
-    rows = data.shift._rows
-    norms = []
-    for k in range(depth, 1, -1):
-        worst = 0.0
-        for w in enumerate_words(data.shift, k - 1):
-            row = sum(abs(q[w[0]][s]) for s in range(data.shift.n) if rows[s][w[0]])
-            worst = max(worst, row)
-        norms.append(worst)
-    return norms
+    exactly 1; they are computed rather than assumed, once per k and
+    PerronData."""
+    known = data._step_norms
+    missing = [k for k in range(depth, 1, -1) if k not in known]
+    if missing:
+        q = reverse_kernel(data.measure).tolist()
+        rows = data.shift._rows
+        for k in missing:
+            worst = 0.0
+            for w in enumerate_words(data.shift, k - 1):
+                row = sum(abs(q[w[0]][s]) for s in range(data.shift.n) if rows[s][w[0]])
+                worst = max(worst, row)
+            known[k] = worst
+    return [known[k] for k in range(depth, 1, -1)]
 
 
 def _effective(constant: float, data: PerronData, f: LocallyConstantFunction):

@@ -475,6 +475,14 @@ def _int_param(params: dict, key: str, default: int) -> int:
     return _parse_int(value, lineno)
 
 
+def _count_param(params: dict, key: str, default: int) -> int:
+    """An integer parameter that counts something, so at least 1."""
+    value = _int_param(params, key, default)
+    if value < 1:
+        raise ConfigError(f"{key} must be at least 1, got {value}", params[key][1])
+    return value
+
+
 def _float_param(params: dict, key: str, default: float) -> float:
     if key not in params:
         return default
@@ -488,7 +496,10 @@ def _range_param(params: dict, key: str, default: range) -> range:
     value, lineno = params[key]
     if ".." in value:
         lo, hi = value.split("..", 1)
-        return range(_parse_int(lo, lineno), _parse_int(hi, lineno) + 1)
+        span = range(_parse_int(lo, lineno), _parse_int(hi, lineno) + 1)
+        if not span:
+            raise ConfigError(f"{key} = {value} is an empty range", lineno)
+        return span
     n = _parse_int(value, lineno)
     return range(n, n + 1)
 
@@ -578,7 +589,7 @@ def _run_pressure(cfg: ExperimentConfig):
 def _run_gibbs(cfg: ExperimentConfig):
     _require_finite(cfg)
     data = equilibrium(cfg.phi)
-    n_max = _int_param(cfg.params, "n-max", 8)
+    n_max = _count_param(cfg.params, "n-max", 8)
     cert = gibbs_certificate(data, n_max)
     word = "" if not cert.worst_word else ":".join(data.shift.labels(cert.worst_word))
     rows = [(n_max, cert.empirical, cert.apriori, cert.worst_ratio, word)]
@@ -625,7 +636,7 @@ def _run_partition_sums(cfg: ExperimentConfig):
 def _run_theorem1(cfg: ExperimentConfig):
     _require_finite(cfg)
     data = equilibrium(cfg.phi)
-    trials = _int_param(cfg.params, "trials", 100)
+    trials = _count_param(cfg.params, "trials", 100)
     f_range = _int_param(cfg.params, "f-range", 3)
     rows = []
     min_slack = math.inf
@@ -658,7 +669,7 @@ def _run_theorem1(cfg: ExperimentConfig):
 def _run_theorem2(cfg: ExperimentConfig):
     _require_finite(cfg)
     data = equilibrium(cfg.phi)
-    trials = _int_param(cfg.params, "trials", 20)
+    trials = _count_param(cfg.params, "trials", 20)
     n_range = _range_param(cfg.params, "n", range(1, 13))
     form = _str_param(cfg.params, "form", "both")
     if form not in ("general", "markov", "both"):
@@ -809,7 +820,7 @@ def _run_corollary3(cfg: ExperimentConfig):
     if psi is not None:
         pairs = [(0, psi)]
     else:
-        trials = _int_param(cfg.params, "trials", 100)
+        trials = _count_param(cfg.params, "trials", 100)
         max_diff = _float_param(cfg.params, "max-diff", 0.5)
         pairs = []
         for trial in range(trials):
@@ -818,8 +829,9 @@ def _run_corollary3(cfg: ExperimentConfig):
                 cfg.shift, 2, rng, low=-max_diff, high=max_diff, theta=cfg.theta
             )
             pairs.append((trial, add(cfg.phi.with_depth(2), bump)))
+    data = perron_data(cfg.phi.base, cfg.phi)
     for trial, candidate in pairs:
-        rep = stability_bound(cfg.phi, candidate, f)
+        rep = stability_bound(data, candidate, f)
         ident = abs(rep.terms["identity_lhs"] - rep.terms["identity_rhs"])
         worst_identity = max(worst_identity, ident)
         min_slack = min(min_slack, rep.slack)
@@ -839,9 +851,9 @@ def _run_corollary3(cfg: ExperimentConfig):
 
 
 def _run_identities(cfg: ExperimentConfig):
-    trials = _int_param(cfg.params, "trials", 20)
-    k_max = _int_param(cfg.params, "k-max", 10)
-    n_max = _int_param(cfg.params, "n-max", 10)
+    trials = _count_param(cfg.params, "trials", 20)
+    k_max = _count_param(cfg.params, "k-max", 10)
+    n_max = _count_param(cfg.params, "n-max", 10)
     rows = []
     checks = []
 

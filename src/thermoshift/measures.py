@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,9 @@ class MarkovMeasure:
     """A shift-invariant Markov probability: stationary pi plus kernel p.
 
     The measure is immutable; ``word_probability`` reads plain-Python copies
-    of ``kernel`` (``_rows``) and ``initial`` (``_pi``) built here once.
+    of ``kernel`` (``_rows``) and ``initial`` (``_pi``) built here once.  The
+    derived quantities below (reversed kernel, entropies, block-entropy
+    iterates) are computed on first use and kept on the instance.
     """
 
     base: TransitionMatrix
@@ -90,6 +93,66 @@ class MarkovMeasure:
                 return 0.0
             p *= rows[i][j]
         return p
+
+    @cached_property
+    def _reverse_kernel(self) -> np.ndarray:
+        pi, p = self.initial, self.kernel
+        live = pi > 0.0
+        q = np.zeros_like(p)
+        q[live] = (pi[:, None] * p).T[live] / pi[live, None]
+        q.setflags(write=False)
+        return q
+
+    @cached_property
+    def _entropy_rate(self) -> float:
+        return _row_entropy(self.initial, self.kernel)
+
+    @cached_property
+    def _marginal_entropy(self) -> float:
+        return _shannon(self.initial)
+
+    @cached_property
+    def _reverse_entropy(self) -> float:
+        return _row_entropy(self.initial, self._reverse_kernel)
+
+    @cached_property
+    def _block_entropies(self) -> "_BlockEntropies":
+        return _BlockEntropies(self.initial, self.kernel)
+
+
+def _row_entropy(pi: np.ndarray, p: np.ndarray) -> float:
+    """-sum_i pi_i sum_j p_ij log p_ij."""
+    mask = p > 0.0
+    plogp = np.zeros_like(p)
+    plogp[mask] = p[mask] * np.log(p[mask])
+    return float(-pi @ plogp.sum(axis=1))
+
+
+class _BlockEntropies:
+    """Dynamic program over (mass, mass*log mass) totals per final state.
+
+    ``state`` is (values, mass, slog) after len(values) - 1 steps, values[n - 1]
+    being the entropy of the partition into n-cylinders.  It is replaced as a
+    whole, so a reader always sees one consistent snapshot.
+    """
+
+    def __init__(self, pi: np.ndarray, p: np.ndarray):
+        logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+        self.p, self.plogp = p, p * logp
+        slog = np.where(pi > 0.0, pi * np.log(np.where(pi > 0.0, pi, 1.0)), 0.0)
+        self.state = ((float(-slog.sum()),), pi, slog)
+
+    def upto(self, n: int) -> float:
+        """H_n, running only the steps no earlier call has run."""
+        values, mass, slog = self.state
+        if len(values) < n:
+            values = list(values)
+            while len(values) < n:
+                slog = slog @ self.p + mass @ self.plogp
+                mass = mass @ self.p
+                values.append(float(-slog.sum()))
+            self.state = (tuple(values), mass, slog)
+        return values[n - 1]
 
 
 def _recurrent_classes(adjacency: np.ndarray):
@@ -192,11 +255,7 @@ def random_markov_measure(shift: TransitionMatrix, rng, alpha: float = 1.0) -> M
 
 def entropy_rate(mu: MarkovMeasure) -> float:
     """Entropy per symbol, -sum_i pi_i sum_j p_ij log p_ij."""
-    p = mu.kernel
-    mask = p > 0.0
-    plogp = np.zeros_like(p)
-    plogp[mask] = p[mask] * np.log(p[mask])
-    return float(-mu.initial @ plogp.sum(axis=1))
+    return mu._entropy_rate
 
 
 def integrate(mu: MarkovMeasure, f: LocallyConstantFunction) -> float:
@@ -220,20 +279,14 @@ def metric_pressure(mu: MarkovMeasure, phi: LocallyConstantFunction) -> float:
 def block_entropy(mu: MarkovMeasure, n: int) -> float:
     """Entropy of the partition into length-n cylinders.
 
-    Runs a dynamic program over (mass, mass*log mass) totals per final state,
-    then cross-checks against the closed form H(pi) + (n-1)h before returning.
+    Reads a dynamic program over (mass, mass*log mass) totals per final
+    state, whose steps the measure runs once each, then cross-checks against
+    the closed form H(pi) + (n-1)h on every call.
     """
     if n < 1:
         raise ValueError("block length must be at least 1")
-    pi, p = mu.initial, mu.kernel
-    logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    mass = pi.copy()
-    slog = np.where(pi > 0.0, pi * np.log(np.where(pi > 0.0, pi, 1.0)), 0.0)
-    for _ in range(n - 1):
-        slog = slog @ p + mass @ (p * logp)
-        mass = mass @ p
-    value = float(-slog.sum())
-    closed = _shannon(pi) + (n - 1) * entropy_rate(mu)
+    value = mu._block_entropies.upto(n)
+    closed = mu._marginal_entropy + (n - 1) * mu._entropy_rate
     if abs(value - closed) > 1e-10:
         raise RuntimeError(
             f"block entropy DP ({value}) disagrees with chain rule ({closed})"
@@ -244,13 +297,10 @@ def block_entropy(mu: MarkovMeasure, n: int) -> float:
 def reverse_kernel(mu: MarkovMeasure) -> np.ndarray:
     """Time-reversed kernel q, with q[j, i] = P(previous = i | current = j).
 
-    Rows at states of stationary mass zero are left identically zero.
+    Rows at states of stationary mass zero are left identically zero.  The
+    array is the measure's own and read-only.
     """
-    pi, p = mu.initial, mu.kernel
-    live = pi > 0.0
-    q = np.zeros_like(p)
-    q[live] = (pi[:, None] * p).T[live] / pi[live, None]
-    return q
+    return mu._reverse_kernel
 
 
 def conditional_entropy(mu: MarkovMeasure, n: int) -> float:
@@ -263,12 +313,8 @@ def conditional_entropy(mu: MarkovMeasure, n: int) -> float:
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
-        return _shannon(mu.initial)
-    q = reverse_kernel(mu)
-    mask = q > 0.0
-    qlogq = np.zeros_like(q)
-    qlogq[mask] = q[mask] * np.log(q[mask])
-    return float(-mu.initial @ qlogq.sum(axis=1))
+        return mu._marginal_entropy
+    return mu._reverse_entropy
 
 
 def information_function(mu: MarkovMeasure) -> LocallyConstantFunction:

@@ -227,15 +227,20 @@ def _count_words(shift: TransitionMatrix, n: int) -> float:
     return float(p.sum())
 
 
-def enumerate_words(shift: TransitionMatrix, n: int, cap: int = WORD_CAP) -> list:
-    """All admissible words of length n, in lexicographic index order."""
-    if n < 1:
-        raise ValueError("word length must be at least 1")
+def check_word_count(shift: TransitionMatrix, n: int, cap: int = WORD_CAP):
+    """Refuse, before listing them, more than ``cap`` words of length n."""
     est = _count_words(shift, n)
     if est > cap:
         raise EnumerationLimitError(
             f"about {est:.3g} words of length {n}, cap is {cap}"
         )
+
+
+def enumerate_words(shift: TransitionMatrix, n: int, cap: int = WORD_CAP) -> list:
+    """All admissible words of length n, in lexicographic index order."""
+    if n < 1:
+        raise ValueError("word length must be at least 1")
+    check_word_count(shift, n, cap)
     succ = shift._succ
     words = [(i,) for i in range(shift.n)]
     for _ in range(n - 1):

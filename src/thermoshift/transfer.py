@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -17,11 +18,11 @@ import numpy as np
 from .measures import KERNEL_ROW_TOL, MarkovMeasure, reverse_kernel
 from .potential import LocallyConstantFunction, recode_to_markovian
 from .shift import (
+    WORD_CAP,
     NotMixingError,
     Recoding,
     TransitionMatrix,
-    enumerate_periodic,
-    enumerate_words,
+    check_word_count,
     is_topologically_mixing,
 )
 
@@ -50,6 +51,16 @@ def _edge_words(shift: TransitionMatrix, phi: LocallyConstantFunction):
     for i in range(shift.n):
         for j in shift.successors(i):
             yield i, j, (i,) if phi.depth == 1 else (i, j)
+
+
+def _steps(shift: TransitionMatrix, phi: LocallyConstantFunction) -> list:
+    """Per state i, the pairs (j, phi on the edge word of i -> j) in
+    lexicographic order: the summand a Birkhoff sum gains when a word steps
+    from i to j (for range 1, phi at i)."""
+    steps = [[] for _ in range(shift.n)]
+    for i, j, w in _edge_words(shift, phi):
+        steps[i].append((j, phi.table[w]))
+    return steps
 
 
 def edge_values(shift: TransitionMatrix, phi: LocallyConstantFunction) -> np.ndarray:
@@ -127,6 +138,12 @@ class PerronData:
     a: float
     b: float
     recoding: Recoding | None = None
+
+    @cached_property
+    def _step_norms(self) -> dict:
+        """Norm of each range-k averaging step, keyed by k; filled on demand
+        by ``bounds.reduction_step_norms``."""
+        return {}
 
 
 def _gap_prefactor(p: np.ndarray, q: np.ndarray, pi: np.ndarray, kappa: float) -> float:
@@ -256,17 +273,26 @@ def partition_sum(
     """Weighted count of period-n points through a state, computed two ways.
 
     The enumeration route sums exp(cyclic Birkhoff sum) over cyclically
-    admissible n-words starting at the state; the matrix route reads the
-    diagonal entry of B^n.  They must agree to 1e-10 relative.
+    admissible n-words starting at the state, grown from it one symbol at a
+    time in lexicographic order with the sums carried along; the matrix route
+    reads the diagonal entry of B^n.  They must agree to 1e-10 relative.
     """
     if phi.depth > 2:
         raise ValueError("partition sums need a potential of range at most 2")
     a = shift.index(state) if not isinstance(state, (int, np.integer)) else int(state)
-    kwargs = {} if cap is None else {"cap": cap}
+    if n < 1:
+        raise ValueError("period must be at least 1")
+    check_word_count(shift, n, WORD_CAP if cap is None else cap)
+    steps = _steps(shift, phi)
+    # (last symbol, Birkhoff sum over the steps taken) of each word from a
+    level = [(a, 0.0)]
+    for _ in range(n - 1):
+        level = [(j, s + t) for i, s in level for j, t in steps[i]]
+    closing = {i: t for i in range(shift.n) for j, t in steps[i] if j == a}
     total = 0.0
-    for w in enumerate_periodic(shift, n, **kwargs):
-        if w[0] == a:
-            total += math.exp(phi.birkhoff_sum(w, n, cyclic=True))
+    for i, s in level:
+        if i in closing:
+            total += math.exp(s + closing[i])
     b = transfer_matrix(shift, phi)
     mat = float(np.linalg.matrix_power(b, n)[a, a])
     if abs(total - mat) > 1e-10 * max(1.0, abs(mat)):
@@ -321,18 +347,33 @@ def gibbs_certificate(
     range 2 the ratio is exactly h[first] * nu[last], so the empirical
     constant must sit inside the eigenvector window; slack_factor widens the
     window when the caller certifies a recoded potential in its original
-    coordinates.
+    coordinates.  Words grow one symbol at a time, in lexicographic order,
+    carrying their cylinder masses and Birkhoff sums along.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     r = data.phi.depth
     shift, measure, phi, pres = data.shift, data.measure, data.phi, data.pressure
+    kernel = measure._rows
+    # each step also carries its kernel entry, for the running cylinder mass
+    steps = [[(j, t, kernel[i][j]) for j, t in row] for i, row in enumerate(_steps(shift, phi))]
     worst = 1.0
     worst_word: tuple = ()
     lo, hi = math.inf, 0.0
+    # (word, m([word]), Birkhoff sum over its steps), in lexicographic order
+    level = [((i,), measure._pi[i], 0.0) for i in range(shift.n)]
     for n in range(1, n_max + 1):
-        for w in enumerate_words(shift, n):
-            mw = measure.word_probability(w)
-            k = n if r == 1 else n - 1
-            s = phi.birkhoff_sum(w, k) if k >= 1 else 0.0
+        check_word_count(shift, n)
+        if n > 1:
+            level = [
+                (w + (j,), 0.0 if m == 0.0 else m * pij, s + t)
+                for w, m, s in level
+                for j, t, pij in steps[w[-1]]
+            ]
+        k = n if r == 1 else n - 1
+        for w, mw, s in level:
+            if r == 1:
+                s += phi.table[w[-1:]]
             ratio = mw * math.exp(k * pres - s)
             lo, hi = min(lo, ratio), max(hi, ratio)
             if max(ratio, 1.0 / ratio) > max(worst, 1.0 / worst):

@@ -251,7 +251,7 @@ def test_criterion_11_corollary3_stability():
         shift, phi = bases[trial % 2]
         rng = np.random.default_rng([111, trial])
         bump = random_function(shift, 2, rng, low=-0.5, high=0.5)
-        rep = stability_bound(phi, add(phi.with_depth(2), bump), LocallyConstantFunction.indicator(shift, (0,)))
+        rep = stability_bound(perron_data(shift, phi), add(phi.with_depth(2), bump), LocallyConstantFunction.indicator(shift, (0,)))
         assert rep.terms["raw_sup_diff"] <= 0.5
         assert rep.slack >= 0.0
         min_slack = min(min_slack, rep.slack)
@@ -259,7 +259,7 @@ def test_criterion_11_corollary3_stability():
     shift = builtin_shift("full-2")
     phi = LocallyConstantFunction.zero(shift)
     psi = LocallyConstantFunction.from_values(shift, 1, {("a",): 0.1, ("b",): -0.1})
-    rep = stability_bound(phi, psi, LocallyConstantFunction.indicator(shift, (0,)))
+    rep = stability_bound(perron_data(shift, phi), psi, LocallyConstantFunction.indicator(shift, (0,)))
     assert rep.lhs == pytest.approx(0.04983, abs=1e-4)
     assert rep.rhs >= 0.458
     print(

@@ -463,7 +463,7 @@ def test_stability_closed_form_example():
     phi = LocallyConstantFunction.zero(shift)
     psi = LocallyConstantFunction.from_values(shift, 1, {("a",): 0.1, ("b",): -0.1})
     f = LocallyConstantFunction.indicator(shift, (0,))
-    rep = stability_bound(phi, psi, f)
+    rep = stability_bound(perron_data(shift, phi), psi, f)
     assert rep.lhs == pytest.approx(0.04983, abs=1e-4)
     assert rep.rhs >= 0.458
     assert rep.terms["sup_diff"] == pytest.approx(
@@ -475,11 +475,12 @@ def test_stability_closed_form_example():
 def test_stability_random_pairs():
     shift, phi = builtin_system("golden-range2")
     f = LocallyConstantFunction.indicator(shift, (0,))
+    data = perron_data(shift, phi)
     for trial in range(100):
         rng = np.random.default_rng([37, trial])
         bump = random_function(shift, 2, rng, low=-0.5, high=0.5)
         psi = add(phi, bump)
-        rep = stability_bound(phi, psi, f)
+        rep = stability_bound(data, psi, f)
         assert rep.terms["raw_sup_diff"] <= 0.5
         assert rep.slack >= 0.0
 
@@ -488,8 +489,8 @@ def test_stability_symmetric_in_lhs():
     shift, phi = builtin_system("full2-bernoulli")
     psi = LocallyConstantFunction.zero(shift)
     f = LocallyConstantFunction.indicator(shift, (0,))
-    one = stability_bound(phi, psi, f)
-    two = stability_bound(psi, phi, f)
+    one = stability_bound(perron_data(shift, phi), psi, f)
+    two = stability_bound(perron_data(shift, psi), phi, f)
     assert one.lhs == pytest.approx(two.lhs, abs=1e-12)
 
 
@@ -497,5 +498,6 @@ def test_stability_rejects_long_range():
     shift = builtin_shift("golden-mean")
     phi = random_function(shift, 3, np.random.default_rng(41))
     f = LocallyConstantFunction.indicator(shift, (0,))
+    data = perron_data(shift, LocallyConstantFunction.zero(shift))
     with pytest.raises(ValueError, match="range"):
-        stability_bound(phi, phi, f)
+        stability_bound(data, phi, f)

@@ -342,3 +342,35 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "system, experiment, message",
+    [
+        ("golden-range2", "kind = partition-sums\nn = 5..3", "line 6: n = 5..3 is an empty range"),
+        ("golden-range2", "kind = theorem2\nn = 5..3", "line 6: n = 5..3 is an empty range"),
+        ("golden-range2", "kind = corollary2\nk = 9..4", "line 6: k = 9..4 is an empty range"),
+        ("golden-range2", "kind = gibbs\nn-max = 0", "line 6: n-max must be at least 1, got 0"),
+        ("golden-range2", "kind = gibbs\nn-max = -2", "line 6: n-max must be at least 1, got -2"),
+        ("golden-range2", "kind = theorem1\ntrials = 0", "line 6: trials must be at least 1"),
+        ("golden-range2", "kind = theorem2\ntrials = 0", "line 6: trials must be at least 1"),
+        ("golden-range2", "kind = corollary3\ntrials = 0", "line 6: trials must be at least 1"),
+        ("model = zeta(2)", "kind = corollary1\nn = 5..3", "line 6: n = 5..3 is an empty range"),
+        ("model = geometric(0.5)", "kind = corollary2\nk = 9..4", "line 6: k = 9..4 is an empty range"),
+    ],
+)
+def test_empty_ranges_and_zero_counts_exit_2(tmp_path, capsys, system, experiment, message):
+    shift = system if system.startswith("model") else f"system = {system}"
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"[shift]\n{shift}\n\n[experiment]\n{experiment}\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry", ["trials = 0", "k-max = 0", "n-max = -1"])
+def test_identities_refuses_zero_counts(tmp_path, capsys, entry):
+    cfg = tmp_path / "id.cfg"
+    cfg.write_text(f"[experiment]\nkind = identities\n{entry}\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"line 3: {entry.split()[0]} must be at least 1" in capsys.readouterr().err

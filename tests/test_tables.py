@@ -1,17 +1,25 @@
 """The plain-Python tables behind the per-word readers, against the numpy
 per-element formulas they replaced (inlined below as oracles, compared with
 ==): admissibility, enumeration, word probabilities, cyclic Birkhoff sums,
-the reversed kernel and the gap-prefactor probe."""
+the reversed kernel and the gap-prefactor probe.  Likewise the word-tree
+routes of ``partition_sum`` and ``gibbs_certificate`` against the per-word
+loops, the per-measure entropy caches against a fresh dynamic program, and
+the safety of those caches."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from thermoshift.bounds import reduction_step_norms
 from thermoshift.measures import (
     MarkovMeasure,
+    block_entropy,
+    conditional_entropy,
+    entropy_rate,
     make_markov_measure,
     reverse_kernel,
 )
@@ -29,7 +37,10 @@ from thermoshift.systems import builtin_system
 from thermoshift.transfer import (
     GAP_PROBE_DEPTH,
     NOISE_FLOOR,
+    EigensolverError,
     _gap_prefactor,
+    gibbs_certificate,
+    partition_sum,
     perron_data,
 )
 
@@ -109,6 +120,56 @@ def gap_prefactor_oracle(p, q, pi, kappa):
             decay = kappa**n if kappa > 0.0 else 1.0
             c = max(c, norm / decay if decay > 0.0 else math.inf)
     return c
+
+
+def partition_sum_oracle(shift, phi, a, n):
+    total = 0.0
+    for w in enumerate_periodic(shift, n):
+        if w[0] == a:
+            total += math.exp(phi.birkhoff_sum(w, n, cyclic=True))
+    return total
+
+
+def gibbs_certificate_oracle(data, n_max):
+    """(empirical, worst_ratio, worst_word) of the per-word loop."""
+    r = data.phi.depth
+    worst = 1.0
+    worst_word = ()
+    lo, hi = math.inf, 0.0
+    for n in range(1, n_max + 1):
+        for w in enumerate_words(data.shift, n):
+            mw = data.measure.word_probability(w)
+            k = n if r == 1 else n - 1
+            s = data.phi.birkhoff_sum(w, k) if k >= 1 else 0.0
+            ratio = mw * math.exp(k * data.pressure - s)
+            lo, hi = min(lo, ratio), max(hi, ratio)
+            if max(ratio, 1.0 / ratio) > max(worst, 1.0 / worst):
+                worst, worst_word = ratio, w
+    return max(hi, 1.0 / lo), worst, worst_word
+
+
+def block_entropy_oracle(mu, n):
+    """(value, closed form) of the block-entropy DP run from scratch."""
+    pi, p = mu.initial, mu.kernel
+    logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    mass = pi.copy()
+    slog = np.where(pi > 0.0, pi * np.log(np.where(pi > 0.0, pi, 1.0)), 0.0)
+    for _ in range(n - 1):
+        slog = slog @ p + mass @ (p * logp)
+        mass = mass @ p
+    return float(-slog.sum()), shannon_oracle(pi) + (n - 1) * row_entropy_oracle(pi, p)
+
+
+def shannon_oracle(w):
+    mask = w > 0.0
+    return float(-np.sum(w[mask] * np.log(w[mask])))
+
+
+def row_entropy_oracle(pi, p):
+    mask = p > 0.0
+    plogp = np.zeros_like(p)
+    plogp[mask] = p[mask] * np.log(p[mask])
+    return float(-pi @ plogp.sum(axis=1))
 
 
 def is_mixing_oracle(shift):
@@ -299,3 +360,133 @@ def test_tables_do_not_alias_the_callers_array(dtype):
     mu = MarkovMeasure(base=shift, kernel=kernel, initial=np.array([2 / 3, 1 / 3]))
     kernel[0, 0] = 0.0
     assert mu.word_probability((0, 0)) == word_probability_oracle(mu, (0, 0)) == 1 / 3
+
+
+# -- word-tree routes and per-object caches ------------------------------------
+
+
+@st.composite
+def potentials(draw):
+    """Range-1 or range-2 potentials with values in [-1, 1] on random shifts."""
+    shift = draw(pruned_shifts())
+    depth = draw(st.integers(min_value=1, max_value=2))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return random_function(shift, depth, np.random.default_rng(seed))
+
+
+@given(potentials(), st.integers(min_value=1, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_partition_sum_matches_per_word_oracle(phi, n):
+    shift = phi.base
+    for a in range(shift.n):
+        ps = partition_sum(shift, phi, a, n)
+        assert ps.enumeration == partition_sum_oracle(shift, phi, a, n)
+
+
+@given(potentials(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=100, deadline=None)
+def test_gibbs_certificate_matches_per_word_oracle(phi, n_max):
+    assume(is_topologically_mixing(phi.base))
+    try:
+        data = perron_data(phi.base, phi)
+    except EigensolverError:
+        assume(False)
+    cert = gibbs_certificate(data, n_max)
+    expected = gibbs_certificate_oracle(data, n_max)
+    assert (cert.empirical, cert.worst_ratio, cert.worst_word) == expected
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_word_tree_routes_at_length_one_read_the_self_loop(depth):
+    # only a has a self-loop: period 1 sees a alone, through its loop value
+    shift = build_sft("ab", ["aa", "ab", "ba"])
+    phi = random_function(shift, depth, np.random.default_rng(depth))
+    assert partition_sum(shift, phi, "a", 1).enumeration == partition_sum_oracle(shift, phi, 0, 1)
+    assert partition_sum(shift, phi, "a", 1).enumeration == math.exp(phi.table[(0,) * depth])
+    assert partition_sum(shift, phi, "b", 1).enumeration == 0.0
+    data = perron_data(shift, phi)
+    cert = gibbs_certificate(data, 1)
+    assert (cert.empirical, cert.worst_ratio, cert.worst_word) == gibbs_certificate_oracle(data, 1)
+
+
+@given(measures(), st.permutations(range(1, 9)))
+@settings(max_examples=100, deadline=None)
+def test_cached_entropies_match_a_fresh_dp_in_any_order(mu, shuffled):
+    for order in (range(1, 9), range(8, 0, -1), shuffled):
+        # a fresh instance per order, so each starts with empty caches
+        fresh = MarkovMeasure(base=mu.base, kernel=mu.kernel, initial=mu.initial)
+        for n in order:
+            value, closed = block_entropy_oracle(fresh, n)
+            if abs(value - closed) > 1e-10:
+                with pytest.raises(RuntimeError, match="chain rule"):
+                    block_entropy(fresh, n)
+            else:
+                assert block_entropy(fresh, n) == value
+        assert entropy_rate(fresh) == row_entropy_oracle(fresh.initial, fresh.kernel)
+        assert conditional_entropy(fresh, 1) == shannon_oracle(fresh.initial)
+        q = reverse_kernel_oracle(fresh)
+        assert conditional_entropy(fresh, 3) == row_entropy_oracle(fresh.initial, q)
+
+
+def test_block_entropy_chain_rule_check_runs_on_every_new_length():
+    shift = build_sft("ab", ["aa", "ab", "ba", "bb"])
+    mu = make_markov_measure(shift, [[0.3, 0.7], [0.6, 0.4]])
+    block_entropy(mu, 5)
+    # a wrong entropy rate must be caught for lengths the DP has already run
+    mu.__dict__["_entropy_rate"] = entropy_rate(mu) + 1e-6
+    with pytest.raises(RuntimeError, match="chain rule"):
+        block_entropy(mu, 3)
+
+
+def test_reverse_kernel_is_read_only():
+    shift = build_sft("ab", ["aa", "ab", "ba"])
+    mu = make_markov_measure(shift, [[0.5, 0.5], [1.0, 0.0]])
+    q = reverse_kernel(mu)
+    with pytest.raises(ValueError, match="read-only"):
+        q[0, 0] = 1.0
+    assert reverse_kernel(mu) is q
+    assert q.tobytes() == reverse_kernel_oracle(mu).tobytes()
+
+
+def test_measures_with_equal_kernels_share_no_cache():
+    shift = build_sft("ab", ["aa", "ab", "ba", "bb"])
+    kernel = np.array([[0.3, 0.7], [0.6, 0.4]])
+    one = make_markov_measure(shift, kernel)
+    two = MarkovMeasure(base=shift, kernel=one.kernel, initial=one.initial)
+    assert block_entropy(one, 4) == block_entropy_oracle(one, 4)[0]
+    assert two._block_entropies.state[0] == (block_entropy_oracle(two, 1)[0],)
+    assert one._block_entropies is not two._block_entropies
+    q1, q2 = reverse_kernel(one), reverse_kernel(two)
+    assert q1 is not q2 and not np.shares_memory(q1, q2)
+    assert q1.tobytes() == q2.tobytes()
+    assert perron_data(*builtin_system("golden-range2"))._step_norms is not (
+        perron_data(*builtin_system("golden-range2"))._step_norms
+    )
+
+
+def test_reduction_step_norms_extend_their_cache_like_a_fresh_computation():
+    shift, phi = builtin_system("tribonacci-zero")
+    data = perron_data(shift, phi)
+    two = reduction_step_norms(data, 2)
+    three = reduction_step_norms(data, 3)
+    assert three == reduction_step_norms(perron_data(shift, phi), 3)
+    assert two == reduction_step_norms(perron_data(shift, phi), 2) == three[1:]
+    three.clear()
+    assert reduction_step_norms(data, 3) == reduction_step_norms(perron_data(shift, phi), 3)
+    assert reduction_step_norms(data, 1) == []
+
+
+def test_gibbs_certificate_needs_a_word_length():
+    data = perron_data(*builtin_system("golden-range2"))
+    for n_max in (0, -2):
+        with pytest.raises(ValueError, match="n_max"):
+            gibbs_certificate(data, n_max)
+
+
+def test_measures_pickle_with_their_caches():
+    shift, phi = builtin_system("golden-range2")
+    mu = perron_data(shift, phi).measure
+    values = [block_entropy(mu, n) for n in (4, 2)] + [conditional_entropy(mu, 2)]
+    copy = pickle.loads(pickle.dumps(mu))
+    assert [block_entropy(copy, n) for n in (4, 2)] + [conditional_entropy(copy, 2)] == values
+    assert block_entropy(copy, 6) == block_entropy(mu, 6)
