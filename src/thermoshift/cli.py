@@ -1,7 +1,7 @@
 """Config-driven experiment runner.
 
 A config is a line-oriented text file with sections [shift], [potential],
-[observable <name>], [measure <name>] and [experiment], each holding
+[perturbation], [observable <name>] and [experiment], each holding
 `key = value` pairs; table entries are written `value "ab" = 1.5` with the
 word spelled in state labels.  One experiment per invocation; results land in
 one CSV per run plus a summary block on stdout.  Identical configs (same
@@ -15,7 +15,9 @@ import math
 import os
 import re
 import sys
+from collections import ChainMap
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,12 +41,10 @@ from .bounds import (
     pressure_gap_bound,
 )
 from .measures import (
-    MarkovMeasure,
     block_entropy,
     conditional_kl_integral,
     entropy_rate,
     kl_divergence,
-    make_markov_measure,
     metric_pressure,
     pinsker_gap,
     random_markov_measure,
@@ -58,18 +58,6 @@ from .transfer import (
     gurevich_estimate,
     partition_sum,
     perron_data,
-)
-
-EXPERIMENT_KINDS = (
-    "pressure",
-    "gibbs",
-    "partition-sums",
-    "theorem1",
-    "theorem2",
-    "corollary1",
-    "corollary2",
-    "corollary3",
-    "identities",
 )
 
 IDENTITY_TOL = 1e-10
@@ -137,6 +125,14 @@ def _plain_entries(section: _Section) -> dict:
     return out
 
 
+def _at_line(lineno: int | None, build, *args, **kwargs):
+    """Call build, reporting a ValueError it raises as a ConfigError at lineno."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), lineno) from None
+
+
 def _parse_float(value: str, lineno: int) -> float:
     try:
         number = float(value)
@@ -154,6 +150,15 @@ def _parse_int(value: str, lineno: int) -> int:
         raise ConfigError(f"expected an integer, got {value!r}", lineno) from None
 
 
+def _param(params: dict, key: str, default, parse=None):
+    """The value under key in a section's plain entries, run through
+    parse(value, line) when given; default when the key is absent."""
+    if key not in params:
+        return default
+    value, lineno = params[key]
+    return value if parse is None else parse(value, lineno)
+
+
 def _parse_word(shift: TransitionMatrix, text: str, lineno: int) -> tuple:
     """A word is spelled by concatenating one-character labels, or with
     colon-separated labels when any label is longer."""
@@ -165,16 +170,15 @@ def _parse_word(shift: TransitionMatrix, text: str, lineno: int) -> tuple:
         raise ConfigError(
             "multi-character state labels need colon-separated words", lineno
         )
-    try:
-        word = tuple(shift.index(s) for s in labels)
-    except ValueError as exc:
-        raise ConfigError(str(exc), lineno) from None
+    word = _at_line(lineno, tuple, map(shift.index, labels))
     if not shift.is_word(word):
         raise ConfigError(f"word {text!r} is not admissible", lineno)
     return word
 
 
 _MODEL_RE = re.compile(r"^(\w+)\s*\(([^)]*)\)$")
+# weight family -> (constructor, name of its first argument)
+_MODELS = {"geometric": (geometric_model, "ratio"), "zeta": (zeta_model, "alpha")}
 
 
 def _parse_model(value: str, lineno: int, scale: float) -> CountableModel:
@@ -187,19 +191,14 @@ def _parse_model(value: str, lineno: int, scale: float) -> CountableModel:
         for part in m.group(2).split(",")
         if part.strip()
     ]
-    if name == "geometric":
-        if len(args) == 1:
-            return geometric_model(args[0], scale)
-        if len(args) == 2:
-            return geometric_model(args[0], args[1])
-        raise ConfigError("geometric takes (ratio) or (ratio, scale)", lineno)
-    if name == "zeta":
-        if len(args) == 1:
-            return zeta_model(args[0], scale)
-        if len(args) == 2:
-            return zeta_model(args[0], args[1])
-        raise ConfigError("zeta takes (alpha) or (alpha, scale)", lineno)
-    raise ConfigError(f"unknown weight family {name!r}", lineno)
+    if name not in _MODELS:
+        raise ConfigError(f"unknown weight family {name!r}", lineno)
+    family, arg = _MODELS[name]
+    if len(args) == 1:
+        return family(args[0], scale)
+    if len(args) == 2:
+        return family(args[0], args[1])
+    raise ConfigError(f"{name} takes ({arg}) or ({arg}, scale)", lineno)
 
 
 @dataclass
@@ -212,9 +211,8 @@ class ExperimentConfig:
     shift: TransitionMatrix | None
     phi: LocallyConstantFunction | None
     model: CountableModel | None
-    observables: dict
-    model_observables: dict
-    measures: dict
+    observables: dict  # name -> function, or state -> value on a model
+    perturbation: LocallyConstantFunction | None
 
 
 def _build_function(
@@ -266,38 +264,15 @@ def _build_model_observable(section: _Section) -> dict:
     return values
 
 
-def _build_measure(shift: TransitionMatrix, section: _Section, seed: int):
-    plain = {key: (value, lineno) for key, word, value, lineno in section.entries if word is None}
-    if "random" in plain:
-        count, lineno = plain["random"]
-        mseed = plain.get("seed", (str(seed), lineno))[0]
-        return ("random", _parse_int(count, lineno), _parse_int(mseed, lineno))
-    kernel = np.zeros((shift.n, shift.n))
-    for key, word, value, lineno in section.entries:
-        if key != "p" or word is None:
-            raise ConfigError('kernel entries look like: p "ab" = 0.5', lineno)
-        w = _parse_word(shift, word, lineno)
-        if len(w) != 2:
-            raise ConfigError("kernel entries are indexed by 2-words", lineno)
-        kernel[w[0], w[1]] = _parse_float(value, lineno)
-    try:
-        return ("fixed", make_markov_measure(shift, kernel))
-    except ValueError as exc:
-        raise ConfigError(str(exc), section.line) from None
-
-
 def parse_config(text: str) -> ExperimentConfig:
     sections = _split_sections(text)
-    shift_sec = [s for s in sections if s.kind == "shift"]
-    pot_sec = [s for s in sections if s.kind == "potential"]
-    pert_sec = [s for s in sections if s.kind == "perturbation"]
-    obs_secs = [s for s in sections if s.kind == "observable"]
-    mes_secs = [s for s in sections if s.kind == "measure"]
-    exp_sec = [s for s in sections if s.kind == "experiment"]
-    known = {"shift", "potential", "perturbation", "observable", "measure", "experiment"}
+    known = ("shift", "potential", "perturbation", "observable", "experiment")
     for s in sections:
         if s.kind not in known:
             raise ConfigError(f"unknown section [{s.kind}]", s.line)
+    shift_sec, pot_sec, pert_sec, obs_secs, exp_sec = (
+        [s for s in sections if s.kind == k] for k in known
+    )
     if len(exp_sec) != 1:
         raise ConfigError("config needs exactly one [experiment] section")
     if len(shift_sec) > 1 or len(pot_sec) > 1 or len(pert_sec) > 1:
@@ -308,24 +283,21 @@ def parse_config(text: str) -> ExperimentConfig:
     if kind_entry is None:
         raise ConfigError("experiment needs a kind", exp_sec[0].line)
     kind = kind_entry[0]
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in _KINDS:
         raise ConfigError(
-            f"unknown experiment kind {kind!r}; have {', '.join(EXPERIMENT_KINDS)}",
+            f"unknown experiment kind {kind!r}; have {', '.join(_KINDS)}",
             kind_entry[1],
         )
-    seed = 0
-    out = "results"
-    theta = 0.5
-    params = {}
+    reads = ("seed", "out", "theta", *_KINDS[kind].keys)
     for key, (value, lineno) in exp_plain.items():
-        if key == "seed":
-            seed = _parse_int(value, lineno)
-        elif key == "out":
-            out = value
-        elif key == "theta":
-            theta = _parse_float(value, lineno)
-        else:
-            params[key] = (value, lineno)
+        if key not in reads:
+            raise ConfigError(
+                f"{kind} does not read {key!r}; it reads kind, {', '.join(reads)}", lineno
+            )
+    seed = _param(exp_plain, "seed", 0, _parse_int)
+    out = _param(exp_plain, "out", "results")
+    theta = _param(exp_plain, "theta", 0.5, _parse_float)
+    params = {key: entry for key, entry in exp_plain.items() if key in _KINDS[kind].keys}
 
     shift = None
     phi = None
@@ -338,22 +310,13 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(
                     "a builtin system already fixes the potential", pot_sec[0].line
                 )
-            try:
-                shift, phi = builtin_system(name)
-            except ValueError as exc:
-                raise ConfigError(str(exc), lineno) from None
+            shift, phi = _at_line(lineno, builtin_system, name)
         elif "builtin" in plain:
             name, lineno = plain["builtin"]
-            try:
-                shift = builtin_shift(name)
-            except ValueError as exc:
-                raise ConfigError(str(exc), lineno) from None
+            shift = _at_line(lineno, builtin_shift, name)
         elif "model" in plain:
             value, lineno = plain["model"]
-            scale = 1.0
-            if "scale" in plain:
-                scale = _parse_float(*plain["scale"])
-            model = _parse_model(value, lineno, scale)
+            model = _parse_model(value, lineno, _param(plain, "scale", 1.0, _parse_float))
         elif "states" in plain:
             states_value, lineno = plain["states"]
             states = states_value.split()
@@ -369,10 +332,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 else:
                     raise ConfigError(f"cannot parse edge {token!r}", elineno)
                 edges.append((u, v))
-            try:
-                shift = build_sft(states, edges)
-            except ValueError as exc:
-                raise ConfigError(str(exc), lineno) from None
+            shift = _at_line(lineno, build_sft, states, edges)
         else:
             raise ConfigError(
                 "shift section needs system, builtin, model, or states+edges",
@@ -386,44 +346,29 @@ def parse_config(text: str) -> ExperimentConfig:
             phi = _build_function(shift, pot_sec[0], theta)
         else:
             phi = LocallyConstantFunction.zero(shift, theta=theta)
-    psi = None
+    perturbation = None
     if pert_sec:
         if shift is None:
             raise ConfigError("perturbation needs a finite shift", pert_sec[0].line)
-        psi = _build_function(shift, pert_sec[0], theta)
-    params["_psi"] = psi
+        perturbation = _build_function(shift, pert_sec[0], theta)
 
     observables = {}
-    model_observables = {}
     for s in obs_secs:
         if s.name is None:
             raise ConfigError("observable sections need a name", s.line)
-        if s.name in observables or s.name in model_observables:
+        if s.name in observables:
             raise ConfigError(f"duplicate observable {s.name!r}", s.line)
         if model is not None:
-            model_observables[s.name] = _build_model_observable(s)
+            observables[s.name] = _build_model_observable(s)
+        elif shift is None:
+            raise ConfigError("observable before any shift", s.line)
         else:
-            if shift is None:
-                raise ConfigError("observable before any shift", s.line)
             observables[s.name] = _build_function(shift, s, theta)
 
-    measures = {}
-    for s in mes_secs:
-        if s.name is None:
-            raise ConfigError("measure sections need a name", s.line)
-        if shift is None:
-            raise ConfigError("measures need a finite shift", s.line)
-        if s.name in measures:
-            raise ConfigError(f"duplicate measure {s.name!r}", s.line)
-        measures[s.name] = _build_measure(shift, s, seed)
-
-    for key in ("observable", "measure"):
-        if key in params:
-            name, lineno = params[key]
-            pool = observables if key == "observable" else measures
-            pool_m = model_observables if key == "observable" else {}
-            if name not in pool and name not in pool_m:
-                raise ConfigError(f"experiment references undefined {key} {name!r}", lineno)
+    if "observable" in params:
+        name, lineno = params["observable"]
+        if name not in observables:
+            raise ConfigError(f"experiment references undefined observable {name!r}", lineno)
 
     return ExperimentConfig(
         kind=kind,
@@ -435,8 +380,7 @@ def parse_config(text: str) -> ExperimentConfig:
         phi=phi,
         model=model,
         observables=observables,
-        model_observables=model_observables,
-        measures=measures,
+        perturbation=perturbation,
     )
 
 
@@ -454,9 +398,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list, rows: list):
+def _write_csv(path: str, header: str, rows: list):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -468,26 +412,12 @@ class Check:
     detail: str
 
 
-def _int_param(params: dict, key: str, default: int) -> int:
-    if key not in params:
-        return default
-    value, lineno = params[key]
-    return _parse_int(value, lineno)
-
-
 def _count_param(params: dict, key: str, default: int) -> int:
     """An integer parameter that counts something, so at least 1."""
-    value = _int_param(params, key, default)
+    value = _param(params, key, default, _parse_int)
     if value < 1:
         raise ConfigError(f"{key} must be at least 1, got {value}", params[key][1])
     return value
-
-
-def _float_param(params: dict, key: str, default: float) -> float:
-    if key not in params:
-        return default
-    value, lineno = params[key]
-    return _parse_float(value, lineno)
 
 
 def _range_param(params: dict, key: str, default: range) -> range:
@@ -504,57 +434,22 @@ def _range_param(params: dict, key: str, default: range) -> range:
     return range(n, n + 1)
 
 
-def _str_param(params: dict, key: str, default: str | None) -> str | None:
-    if key not in params:
-        return default
-    return params[key][0]
-
-
-def _default_observable(shift: TransitionMatrix, theta: float) -> LocallyConstantFunction:
-    return LocallyConstantFunction.indicator(shift, (0,), theta=theta)
-
-
-def _pick_observable(cfg: ExperimentConfig) -> LocallyConstantFunction:
-    name = _str_param(cfg.params, "observable", None)
+def _pick_observable(cfg: ExperimentConfig):
+    """The observable named in [experiment], else the first one defined, else
+    the indicator of the first state (state 1 on a countable model)."""
+    name = _param(cfg.params, "observable", next(iter(cfg.observables), None))
     if name is not None:
         return cfg.observables[name]
-    if cfg.observables:
-        return next(iter(cfg.observables.values()))
-    return _default_observable(cfg.shift, cfg.theta)
-
-
-def _pick_model_observable(cfg: ExperimentConfig) -> dict:
-    name = _str_param(cfg.params, "observable", None)
-    if name is not None:
-        return cfg.model_observables[name]
-    if cfg.model_observables:
-        return next(iter(cfg.model_observables.values()))
-    return {1: 1.0}
-
-
-def _measure_pool(cfg: ExperimentConfig, trials: int):
-    """Concrete list of (label, measure) pairs for bound batteries."""
-    name = _str_param(cfg.params, "measure", None)
-    chosen = [name] if name is not None else sorted(cfg.measures)
-    pool = []
-    for key in chosen:
-        entry = cfg.measures[key]
-        if entry[0] == "fixed":
-            pool.append((key, entry[1]))
-        else:
-            _, count, mseed = entry
-            for i in range(count):
-                rng = np.random.default_rng([mseed, i])
-                pool.append((f"{key}-{i}", random_markov_measure(cfg.shift, rng)))
-    if not pool:
-        for i in range(trials):
-            rng = np.random.default_rng([cfg.seed, 1, i])
-            pool.append((f"random-{i}", random_markov_measure(cfg.shift, rng)))
-    return pool
+    if cfg.model is not None:
+        return {1: 1.0}
+    return LocallyConstantFunction.indicator(cfg.shift, (0,), theta=cfg.theta)
 
 
 # ---------------------------------------------------------------------------
 # experiments
+#
+# The library reports and the experiment judges: each kind builds its reports
+# and CSV rows, and its checks decide the cross-checks those reports carry.
 
 
 def _require_finite(cfg: ExperimentConfig):
@@ -562,7 +457,40 @@ def _require_finite(cfg: ExperimentConfig):
         raise ConfigError(f"experiment {cfg.kind!r} needs a finite shift and potential")
 
 
-def _run_pressure(cfg: ExperimentConfig):
+def _report_row(cfg: ExperimentConfig, rep, **given) -> tuple:
+    """A bound report's row under its kind's header.  Each column is a value
+    given here, else the seed, else the report's lhs, rhs, slack or vacuous,
+    else one of its terms, else one of its params."""
+    own = dict(seed=cfg.seed, lhs=rep.lhs, rhs=rep.rhs, slack=rep.slack, vacuous=rep.vacuous)
+    values = ChainMap(given, own, rep.terms, rep.params)
+    return tuple(values[column] for column in _KINDS[cfg.kind].header.split(","))
+
+
+def _slack_check(reports: list, label: str) -> Check:
+    """Slack must be nonnegative on every report that claims something;
+    vacuous and pre-asymptotic reports claim nothing and are skipped."""
+    claims = (r for r in reports if not (r.vacuous or r.params.get("pre_asymptotic")))
+    slack = min((math.inf, *(r.slack for r in claims)))
+    return Check("slack-nonnegative", slack >= 0.0, f"{label} {slack:.6g}")
+
+
+def _worst(deviations) -> float:
+    """The largest deviation, 0.0 for none.  A nan is passed over, so it
+    reads as no deviation."""
+    return max((0.0, *deviations))
+
+
+def _deviation_check(name: str, label: str, deviations) -> Check:
+    worst = _worst(deviations)
+    return Check(name, worst <= IDENTITY_TOL, f"worst {label} deviation {worst:.3g}")
+
+
+def _identity_check(name: str, reports: list) -> Check:
+    """An exact identity, judged on the identity_dev terms of the reports."""
+    return _deviation_check(name, "identity", (r.terms["identity_dev"] for r in reports))
+
+
+def _build_pressure(cfg: ExperimentConfig):
     _require_finite(cfg)
     data = equilibrium(cfg.phi)
     rows = [
@@ -576,186 +504,94 @@ def _run_pressure(cfg: ExperimentConfig):
         ("entropy_rate", entropy_rate(data.measure)),
         ("states", float(data.shift.n)),
     ]
-    checks = [
-        Check(
-            "variational-identity",
-            abs(metric_pressure(data.measure, data.phi) - data.pressure) <= IDENTITY_TOL,
-            "Gibbs measure attains the pressure",
-        )
-    ]
-    return ["quantity", "value"], rows, checks
+    return data, rows
 
 
-def _run_gibbs(cfg: ExperimentConfig):
+def _build_gibbs(cfg: ExperimentConfig):
     _require_finite(cfg)
     data = equilibrium(cfg.phi)
     n_max = _count_param(cfg.params, "n-max", 8)
     cert = gibbs_certificate(data, n_max)
     word = "" if not cert.worst_word else ":".join(data.shift.labels(cert.worst_word))
-    rows = [(n_max, cert.empirical, cert.apriori, cert.worst_ratio, word)]
-    checks = [
-        Check(
-            "cylinder-window",
-            cert.empirical <= cert.apriori,
-            f"empirical {cert.empirical:.6g} within a-priori {cert.apriori:.6g}",
-        )
-    ]
-    return ["n_max", "empirical_C", "apriori_C", "worst_ratio", "worst_word"], rows, checks
+    return cert, [(n_max, cert.empirical, cert.apriori, cert.worst_ratio, word)]
 
 
-def _run_partition_sums(cfg: ExperimentConfig):
+def _build_partition_sums(cfg: ExperimentConfig):
     _require_finite(cfg)
     if cfg.phi.depth > 2:
         raise ConfigError("partition sums need a potential of range at most 2")
-    state = _str_param(cfg.params, "state", cfg.shift.states[0])
+    state = _param(cfg.params, "state", cfg.shift.states[0])
+    if "state" in cfg.params:
+        _at_line(cfg.params["state"][1], cfg.shift.index, state)
     n_range = _range_param(cfg.params, "n", range(1, 13))
-    gur = dict(
-        (n, (value, residual))
-        for n, value, residual in gurevich_estimate(
-            cfg.shift, cfg.phi, state, max(n_range)
-        )
-    )
-    rows = []
-    worst_rel = 0.0
-    for n in n_range:
-        ps = partition_sum(cfg.shift, cfg.phi, state, n)
-        rel = abs(ps.enumeration - ps.matrix) / max(1.0, abs(ps.matrix))
-        worst_rel = max(worst_rel, rel)
-        rate, residual = gur.get(n, (math.nan, math.nan))
-        rows.append((n, ps.enumeration, ps.matrix, rel, rate, residual))
-    checks = [
-        Check(
-            "route-agreement",
-            worst_rel <= IDENTITY_TOL,
-            f"worst relative deviation {worst_rel:.3g}",
-        )
+    estimates = gurevich_estimate(cfg.shift, cfg.phi, state, max(n_range))
+    gur = {n: (value, residual) for n, value, residual in estimates}
+    sums = [partition_sum(cfg.shift, cfg.phi, state, n) for n in n_range]
+    rows = [
+        (n, ps.enumeration, ps.matrix, ps.rel_err, *gur.get(n, (math.nan, math.nan)))
+        for n, ps in zip(n_range, sums)
     ]
-    return ["n", "enumeration", "matrix", "rel_err", "rate", "residual"], rows, checks
+    return sums, rows
 
 
-def _run_theorem1(cfg: ExperimentConfig):
+def _build_theorem1(cfg: ExperimentConfig):
     _require_finite(cfg)
     data = equilibrium(cfg.phi)
     trials = _count_param(cfg.params, "trials", 100)
-    f_range = _int_param(cfg.params, "f-range", 3)
-    rows = []
-    min_slack = math.inf
+    f_range = _count_param(cfg.params, "f-range", 3)
+    reports = []
     for trial in range(trials):
         rng = np.random.default_rng([cfg.seed, trial])
         mu = random_markov_measure(data.shift, rng)
         depth = int(rng.integers(1, f_range + 1))
         f = random_function(data.shift, depth, rng, theta=cfg.theta)
-        rep = pressure_gap_bound(data, mu, f)
-        min_slack = min(min_slack, rep.slack)
-        rows.append(
-            (
-                trial,
-                cfg.seed,
-                rep.terms["pressure_gap"],
-                rep.terms["f_norm"],
-                rep.lhs,
-                rep.rhs,
-                rep.slack,
-                rep.vacuous,
-            )
-        )
-    checks = [
-        Check("slack-nonnegative", min_slack >= 0.0, f"min slack {min_slack:.6g}")
-    ]
-    header = ["trial", "seed", "pressure_gap", "f_norm", "lhs", "rhs", "slack", "vacuous"]
-    return header, rows, checks
+        reports.append(pressure_gap_bound(data, mu, f))
+    return reports, [_report_row(cfg, rep, trial=t) for t, rep in enumerate(reports)]
 
 
-def _run_theorem2(cfg: ExperimentConfig):
+def _build_theorem2(cfg: ExperimentConfig):
     _require_finite(cfg)
     data = equilibrium(cfg.phi)
     trials = _count_param(cfg.params, "trials", 20)
     n_range = _range_param(cfg.params, "n", range(1, 13))
-    form = _str_param(cfg.params, "form", "both")
+    form = _param(cfg.params, "form", "both")
     if form not in ("general", "markov", "both"):
-        raise ConfigError(f"unknown form {form!r}")
+        raise ConfigError(f"unknown form {form!r}", cfg.params["form"][1])
     ell = next(k for k in range(1, data.phi.depth + 1) if data.phi.variation(k) == 0.0)
-    ell = _int_param(cfg.params, "ell", ell)
-    rows = []
-    min_slack = math.inf
+    ell = _count_param(cfg.params, "ell", ell)
+    reports = []
+    given = []
     for trial in range(trials):
         rng = np.random.default_rng([cfg.seed, 2, trial])
         mu = random_markov_measure(data.shift, rng)
         f = random_function(data.shift, int(rng.integers(1, 3)), rng, theta=cfg.theta)
         for n in n_range:
             if form in ("general", "both"):
-                rep = finitary_gap_bound(data, mu, f, n)
-                if not rep.vacuous:
-                    min_slack = min(min_slack, rep.slack)
-                rows.append(
-                    (
-                        "general",
-                        trial,
-                        cfg.seed,
-                        n,
-                        0,
-                        rep.terms["raw_radicand"],
-                        rep.lhs,
-                        rep.rhs,
-                        rep.slack,
-                        rep.vacuous,
-                    )
-                )
+                reports.append(finitary_gap_bound(data, mu, f, n))
+                given.append({"form": "general", "trial": trial, "n": n, "ell": 0})
             if form in ("markov", "both") and n >= 3 * ell:
-                rep = block_entropy_gap_bound(data, mu, f, n, ell)
-                min_slack = min(min_slack, rep.slack)
-                rows.append(
-                    (
-                        "markov",
-                        trial,
-                        cfg.seed,
-                        n,
-                        ell,
-                        rep.terms["raw_radicand"],
-                        rep.lhs,
-                        rep.rhs,
-                        rep.slack,
-                        rep.vacuous,
-                    )
-                )
-    checks = [
-        Check("slack-nonnegative", min_slack >= 0.0, f"min non-vacuous slack {min_slack:.6g}")
+                reports.append(block_entropy_gap_bound(data, mu, f, n, ell))
+                given.append({"form": "markov", "trial": trial, "n": n, "ell": ell})
+    rows = [
+        _report_row(cfg, rep, radicand=rep.terms["raw_radicand"], **extra)
+        for rep, extra in zip(reports, given)
     ]
-    header = ["form", "trial", "seed", "n", "ell", "radicand", "lhs", "rhs", "slack", "vacuous"]
-    return header, rows, checks
+    return reports, rows
 
 
-def _run_corollary1(cfg: ExperimentConfig):
+def _build_corollary1(cfg: ExperimentConfig):
     if cfg.model is None:
         raise ConfigError("corollary1 needs a countable model in [shift]")
     n_range = _range_param(cfg.params, "n", range(2, 21))
-    reports = truncation_harness(cfg.model, _pick_model_observable(cfg), n_range)
-    rows = []
-    min_slack = math.inf
-    for rep in reports:
-        if not rep.vacuous:
-            min_slack = min(min_slack, rep.slack)
-        rows.append(
-            (
-                rep.params["n"],
-                rep.terms["pressure_gap"],
-                rep.lhs,
-                rep.rhs,
-                rep.slack,
-                rep.vacuous,
-            )
-        )
-    checks = [
-        Check("slack-nonnegative", min_slack >= 0.0, f"min non-vacuous slack {min_slack:.6g}")
-    ]
-    return ["n", "pressure_gap", "lhs", "rhs", "slack", "vacuous"], rows, checks
+    reports = truncation_harness(cfg.model, _pick_observable(cfg), n_range)
+    return reports, [_report_row(cfg, rep) for rep in reports]
 
 
-def _run_corollary2(cfg: ExperimentConfig):
+def _build_corollary2(cfg: ExperimentConfig):
     k_range = _range_param(cfg.params, "k", range(3, 13))
     if cfg.model is not None:
-        sub = truncate(cfg.model, _int_param(cfg.params, "n", 6))
-        reports = combined_orbit_harness(sub, _pick_model_observable(cfg), k_range)
+        sub = truncate(cfg.model, _param(cfg.params, "n", 6, _parse_int))
+        reports = combined_orbit_harness(sub, _pick_observable(cfg), k_range)
     else:
         _require_finite(cfg)
         data = equilibrium(cfg.phi)
@@ -763,154 +599,88 @@ def _run_corollary2(cfg: ExperimentConfig):
         if data.recoding is not None:
             raise ConfigError("corollary2 needs a potential of range at most 2")
         reports = periodic_orbit_harness(data, f, k_range)
-    rows = []
-    min_slack = math.inf
-    worst_identity = 0.0
-    for rep in reports:
-        identity_dev = rep.terms["identity_dev"]
-        worst_identity = max(worst_identity, identity_dev)
-        if not rep.params["pre_asymptotic"]:
-            min_slack = min(min_slack, rep.slack)
-        rows.append(
-            (
-                rep.params["k"],
-                rep.lhs,
-                rep.rhs,
-                rep.slack,
-                rep.params["pre_asymptotic"],
-                rep.terms.get("combined_lhs", rep.lhs),
-                rep.terms.get("combined_rhs", rep.rhs),
-                identity_dev,
-            )
+    rows = [
+        _report_row(
+            cfg,
+            rep,
+            combined_lhs=rep.terms.get("combined_lhs", rep.lhs),
+            combined_rhs=rep.terms.get("combined_rhs", rep.rhs),
         )
-    checks = [
-        Check(
-            "slack-nonnegative",
-            min_slack >= 0.0 or min_slack == math.inf,
-            f"min slack on settled periods {min_slack:.6g}",
-        ),
-        Check(
-            "orbit-entropy-identity",
-            worst_identity <= IDENTITY_TOL,
-            f"worst identity deviation {worst_identity:.3g}",
-        ),
+        for rep in reports
     ]
-    header = [
-        "k",
-        "lhs",
-        "rhs",
-        "slack",
-        "pre_asymptotic",
-        "combined_lhs",
-        "combined_rhs",
-        "identity_dev",
-    ]
-    return header, rows, checks
+    return reports, rows
 
 
-def _run_corollary3(cfg: ExperimentConfig):
+def _build_corollary3(cfg: ExperimentConfig):
     _require_finite(cfg)
     if cfg.phi.depth > 2:
         raise ConfigError("corollary3 needs potentials of range at most 2")
     f = _pick_observable(cfg)
-    psi = cfg.params.get("_psi")
-    rows = []
-    min_slack = math.inf
-    worst_identity = 0.0
-    if psi is not None:
-        pairs = [(0, psi)]
+    if cfg.perturbation is not None:
+        candidates = [cfg.perturbation]
     else:
         trials = _count_param(cfg.params, "trials", 100)
-        max_diff = _float_param(cfg.params, "max-diff", 0.5)
-        pairs = []
+        max_diff = _param(cfg.params, "max-diff", 0.5, _parse_float)
+        candidates = []
         for trial in range(trials):
             rng = np.random.default_rng([cfg.seed, 3, trial])
             bump = random_function(
                 cfg.shift, 2, rng, low=-max_diff, high=max_diff, theta=cfg.theta
             )
-            pairs.append((trial, add(cfg.phi.with_depth(2), bump)))
+            candidates.append(add(cfg.phi.with_depth(2), bump))
     data = perron_data(cfg.phi.base, cfg.phi)
-    for trial, candidate in pairs:
-        rep = stability_bound(data, candidate, f)
-        ident = abs(rep.terms["identity_lhs"] - rep.terms["identity_rhs"])
-        worst_identity = max(worst_identity, ident)
-        min_slack = min(min_slack, rep.slack)
-        rows.append(
-            (trial, cfg.seed, rep.terms["sup_diff"], rep.lhs, rep.rhs, rep.slack, ident)
-        )
-    checks = [
-        Check("slack-nonnegative", min_slack >= 0.0, f"min slack {min_slack:.6g}"),
-        Check(
-            "exchange-identity",
-            worst_identity <= IDENTITY_TOL,
-            f"worst identity deviation {worst_identity:.3g}",
-        ),
+    reports = [stability_bound(data, psi, f) for psi in candidates]
+    rows = [
+        _report_row(cfg, rep, trial=trial, identity_residual=rep.terms["identity_dev"])
+        for trial, rep in enumerate(reports)
     ]
-    header = ["trial", "seed", "sup_diff", "lhs", "rhs", "slack", "identity_residual"]
-    return header, rows, checks
+    return reports, rows
 
 
-def _run_identities(cfg: ExperimentConfig):
+def _build_identities(cfg: ExperimentConfig):
+    """Reports here are (system, check, value, tolerance) records."""
     trials = _count_param(cfg.params, "trials", 20)
     k_max = _count_param(cfg.params, "k-max", 10)
     n_max = _count_param(cfg.params, "n-max", 10)
-    rows = []
-    checks = []
-
-    def record(system: str, check: str, value: float, tol: float):
-        ok = value <= tol
-        rows.append((system, check, value, tol, ok))
-        checks.append(Check(f"{system}/{check}", ok, f"{value:.3g} vs {tol:.3g}"))
+    records = []
 
     for name in sorted(BUILTIN_SYSTEMS):
         shift, phi = builtin_system(name)
         data = perron_data(shift, phi)
-        record(name, "cohomology", cohomology_residual(data), IDENTITY_TOL)
+        records.append((name, "cohomology", cohomology_residual(data), IDENTITY_TOL))
 
-        worst = 0.0
+        kl = []
         for i in range(trials):
-            rng = np.random.default_rng([cfg.seed, 4, i])
-            mu = random_markov_measure(shift, rng)
-            dev = abs(
-                conditional_kl_integral(data.measure, mu)
-                - (data.pressure - metric_pressure(mu, phi))
-            )
-            worst = max(worst, dev)
-        record(name, "kl-pressure", worst, IDENTITY_TOL)
+            mu = random_markov_measure(shift, np.random.default_rng([cfg.seed, 4, i]))
+            gap = data.pressure - metric_pressure(mu, phi)
+            kl.append(abs(conditional_kl_integral(data.measure, mu) - gap))
+        records.append((name, "kl-pressure", _worst(kl), IDENTITY_TOL))
 
-        worst = 0.0
+        orbit = []
         for k in range(1, k_max + 1):
-            nu = periodic_orbit_measure(shift, phi, k)
-            lhs, rhs = orbit_entropy_identity(nu, phi)
-            worst = max(worst, abs(lhs - rhs))
-        record(name, "orbit-entropy", worst, IDENTITY_TOL)
+            lhs, rhs = orbit_entropy_identity(periodic_orbit_measure(shift, phi, k), phi)
+            orbit.append(abs(lhs - rhs))
+        records.append((name, "orbit-entropy", _worst(orbit), IDENTITY_TOL))
 
-        worst = 0.0
-        for n in range(1, n_max + 1):
-            ps = partition_sum(shift, phi, shift.states[0], n)
-            worst = max(
-                worst, abs(ps.enumeration - ps.matrix) / max(1.0, abs(ps.matrix))
-            )
-        record(name, "partition-routes", worst, IDENTITY_TOL)
+        routes = [
+            partition_sum(shift, phi, shift.states[0], n).rel_err
+            for n in range(1, n_max + 1)
+        ]
+        records.append((name, "partition-routes", _worst(routes), IDENTITY_TOL))
 
-        rng = np.random.default_rng([cfg.seed, 5])
-        mu = random_markov_measure(shift, rng)
-        worst = 0.0
+        mu = random_markov_measure(shift, np.random.default_rng([cfg.seed, 5]))
         h_rate = entropy_rate(mu)
-        for n in range(2, 9):
-            worst = max(
-                worst, abs(block_entropy(mu, n) - block_entropy(mu, n - 1) - h_rate)
-            )
-        record(name, "block-chain-rule", worst, IDENTITY_TOL)
+        chain = [
+            abs(block_entropy(mu, n) - block_entropy(mu, n - 1) - h_rate)
+            for n in range(2, 9)
+        ]
+        records.append((name, "block-chain-rule", _worst(chain), IDENTITY_TOL))
 
-        worst_slack = 0.0
-        worst_ident = 0.0
-        for m in range(2, 8):
-            lhs, rhs, avg_c, avg_b = entropy_averaging_check(data, mu, 1, m)
-            worst_slack = max(worst_slack, lhs - rhs)
-            worst_ident = max(worst_ident, abs(avg_c - avg_b))
-        record(name, "averaging-slack", max(worst_slack, 0.0), 0.0)
-        record(name, "averaging-identity", worst_ident, IDENTITY_TOL)
+        averaging = [entropy_averaging_check(data, mu, 1, m) for m in range(2, 8)]
+        slack = _worst(lhs - rhs for lhs, rhs, _, _ in averaging)
+        records.append((name, "averaging-slack", slack, 0.0))
+        ident = _worst(abs(avg_c - avg_b) for _, _, avg_c, avg_b in averaging)
+        records.append((name, "averaging-identity", ident, IDENTITY_TOL))
 
     violations = 0
     rng = np.random.default_rng([cfg.seed, 6])
@@ -923,30 +693,105 @@ def _run_identities(cfg: ExperimentConfig):
             violations += 1
         if kl_divergence(p, q) < 0.0:
             violations += 1
-    record("global", "pinsker-violations", float(violations), 0.0)
-
-    header = ["system", "check", "value", "tolerance", "ok"]
-    return header, rows, checks
+    records.append(("global", "pinsker-violations", float(violations), 0.0))
+    return records, [(s, c, value, tol, value <= tol) for s, c, value, tol in records]
 
 
-_RUNNERS = {
-    "pressure": _run_pressure,
-    "gibbs": _run_gibbs,
-    "partition-sums": _run_partition_sums,
-    "theorem1": _run_theorem1,
-    "theorem2": _run_theorem2,
-    "corollary1": _run_corollary1,
-    "corollary2": _run_corollary2,
-    "corollary3": _run_corollary3,
-    "identities": _run_identities,
+class _Kind(NamedTuple):
+    keys: tuple  # the [experiment] keys read beyond kind, seed, out and theta
+    header: str
+    build: Callable  # ExperimentConfig -> (reports, rows)
+    checks: Callable  # reports -> list of Check
+
+
+_KINDS = {
+    "pressure": _Kind(
+        (),
+        "quantity,value",
+        _build_pressure,
+        lambda data: [
+            Check(
+                "variational-identity",
+                abs(metric_pressure(data.measure, data.phi) - data.pressure) <= IDENTITY_TOL,
+                "Gibbs measure attains the pressure",
+            )
+        ],
+    ),
+    "gibbs": _Kind(
+        ("n-max",),
+        "n_max,empirical_C,apriori_C,worst_ratio,worst_word",
+        _build_gibbs,
+        lambda cert: [
+            Check(
+                "cylinder-window",
+                cert.empirical <= cert.apriori,
+                f"empirical {cert.empirical:.6g} within a-priori {cert.apriori:.6g}",
+            )
+        ],
+    ),
+    "partition-sums": _Kind(
+        ("state", "n"),
+        "n,enumeration,matrix,rel_err,rate,residual",
+        _build_partition_sums,
+        lambda sums: [
+            _deviation_check("route-agreement", "relative", (ps.rel_err for ps in sums))
+        ],
+    ),
+    "theorem1": _Kind(
+        ("trials", "f-range"),
+        "trial,seed,pressure_gap,f_norm,lhs,rhs,slack,vacuous",
+        _build_theorem1,
+        lambda reports: [_slack_check(reports, "min slack")],
+    ),
+    "theorem2": _Kind(
+        ("trials", "n", "form", "ell"),
+        "form,trial,seed,n,ell,radicand,lhs,rhs,slack,vacuous",
+        _build_theorem2,
+        lambda reports: [_slack_check(reports, "min non-vacuous slack")],
+    ),
+    "corollary1": _Kind(
+        ("n", "observable"),
+        "n,pressure_gap,lhs,rhs,slack,vacuous",
+        _build_corollary1,
+        lambda reports: [_slack_check(reports, "min non-vacuous slack")],
+    ),
+    "corollary2": _Kind(
+        ("k", "n", "observable"),
+        "k,lhs,rhs,slack,pre_asymptotic,combined_lhs,combined_rhs,identity_dev",
+        _build_corollary2,
+        lambda reports: [
+            _slack_check(reports, "min slack on settled periods"),
+            _identity_check("orbit-entropy-identity", reports),
+        ],
+    ),
+    "corollary3": _Kind(
+        ("trials", "max-diff", "observable"),
+        "trial,seed,sup_diff,lhs,rhs,slack,identity_residual",
+        _build_corollary3,
+        lambda reports: [
+            _slack_check(reports, "min slack"),
+            _identity_check("exchange-identity", reports),
+        ],
+    ),
+    "identities": _Kind(
+        ("trials", "k-max", "n-max"),
+        "system,check,value,tolerance,ok",
+        _build_identities,
+        lambda records: [
+            Check(f"{system}/{check}", value <= tol, f"{value:.3g} vs {tol:.3g}")
+            for system, check, value, tol in records
+        ],
+    ),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    header, rows, checks = _RUNNERS[cfg.kind](cfg)
+    kind = _KINDS[cfg.kind]
+    reports, rows = kind.build(cfg)
+    checks = kind.checks(reports)
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"{cfg.kind}.csv")
-    _write_csv(path, header, rows)
+    _write_csv(path, kind.header, rows)
     print(f"experiment: {cfg.kind}")
     print(f"rows: {len(rows)}")
     print(f"csv: {path}")

@@ -78,6 +78,11 @@ class MarkovMeasure:
         object.__setattr__(self, "_rows", tuple(map(tuple, p.tolist())))
         object.__setattr__(self, "_pi", tuple(pi.tolist()))
 
+    def __reduce__(self):
+        # rebuild through __post_init__, so the copy's arrays are validated
+        # and read-only again and its caches start empty
+        return (type(self), (self.base, self.kernel, self.initial))
+
     @property
     def support(self):
         return tuple(np.flatnonzero(self.initial > 0.0).tolist())

@@ -262,6 +262,11 @@ class PartitionSum(NamedTuple):
     enumeration: float
     matrix: float
 
+    @property
+    def rel_err(self) -> float:
+        """Relative distance between the enumeration and matrix routes."""
+        return abs(self.enumeration - self.matrix) / max(1.0, abs(self.matrix))
+
 
 def partition_sum(
     shift: TransitionMatrix,
@@ -275,7 +280,8 @@ def partition_sum(
     The enumeration route sums exp(cyclic Birkhoff sum) over cyclically
     admissible n-words starting at the state, grown from it one symbol at a
     time in lexicographic order with the sums carried along; the matrix route
-    reads the diagonal entry of B^n.  They must agree to 1e-10 relative.
+    reads the diagonal entry of B^n.  Both are returned; the caller judges
+    their agreement.  A sum that overflows a float raises ValueError.
     """
     if phi.depth > 2:
         raise ValueError("partition sums need a potential of range at most 2")
@@ -290,14 +296,18 @@ def partition_sum(
         level = [(j, s + t) for i, s in level for j, t in steps[i]]
     closing = {i: t for i in range(shift.n) for j, t in steps[i] if j == a}
     total = 0.0
-    for i, s in level:
-        if i in closing:
-            total += math.exp(s + closing[i])
+    try:
+        for i, s in level:
+            if i in closing:
+                total += math.exp(s + closing[i])
+    except OverflowError:
+        total = math.inf
     b = transfer_matrix(shift, phi)
     mat = float(np.linalg.matrix_power(b, n)[a, a])
-    if abs(total - mat) > 1e-10 * max(1.0, abs(mat)):
-        raise RuntimeError(
-            f"partition sum routes disagree at n={n}: {total} vs {mat}"
+    if not (math.isfinite(total) and math.isfinite(mat)):
+        raise ValueError(
+            f"partition sum at n={n} overflows a float: enumeration {total}, "
+            f"matrix {mat}"
         )
     return PartitionSum(enumeration=total, matrix=mat)
 
@@ -345,10 +355,11 @@ def gibbs_certificate(
     formed, where S is the part of the Birkhoff sum determined by w alone
     (k = n summands for a range-1 potential, k = n-1 for range 2).  For
     range 2 the ratio is exactly h[first] * nu[last], so the empirical
-    constant must sit inside the eigenvector window; slack_factor widens the
-    window when the caller certifies a recoded potential in its original
-    coordinates.  Words grow one symbol at a time, in lexicographic order,
-    carrying their cylinder masses and Birkhoff sums along.
+    constant must sit inside the eigenvector window; the caller judges that,
+    and slack_factor widens the window when the caller certifies a recoded
+    potential in its original coordinates.  Words grow one symbol at a time,
+    in lexicographic order, carrying their cylinder masses and Birkhoff sums
+    along.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -387,10 +398,6 @@ def gibbs_certificate(
     # certified constant carries a rounding allowance for the two float
     # routes that produce the two sides.
     apriori = max(big / small, 1.0 / small, big, 1.0) * slack_factor * (1.0 + 1e-9)
-    if empirical > apriori:
-        raise RuntimeError(
-            f"cylinder ratio {empirical} escapes the eigenvector window {apriori}"
-        )
     return GibbsCertificate(
         empirical=empirical,
         apriori=apriori,

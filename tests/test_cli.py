@@ -1,9 +1,12 @@
+import dataclasses
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from thermoshift import approx, cli, transfer
 from thermoshift.cli import ConfigError, main, parse_config
 
 GOLDEN_THEOREM1 = """
@@ -46,20 +49,13 @@ value "ba" = 0.1
 value "a" = 1.0
 default = 0.0
 
-[measure walk]
-p "aa" = 0.5
-p "ab" = 0.5
-p "ba" = 1.0
-
 [experiment]
-kind = theorem2
+kind = corollary3
 observable = occ
-measure = walk
 """
     )
     assert cfg.phi.evaluate((0, 1)) == -0.4
     assert cfg.observables["occ"].evaluate((1,)) == 0.0
-    assert cfg.measures["walk"][0] == "fixed"
 
 
 def test_parse_errors_carry_line_numbers():
@@ -357,6 +353,8 @@ def test_import_loads_no_scipy():
         ("golden-range2", "kind = corollary3\ntrials = 0", "line 6: trials must be at least 1"),
         ("model = zeta(2)", "kind = corollary1\nn = 5..3", "line 6: n = 5..3 is an empty range"),
         ("model = geometric(0.5)", "kind = corollary2\nk = 9..4", "line 6: k = 9..4 is an empty range"),
+        ("golden-range2", "kind = theorem1\nf-range = 0", "line 6: f-range must be at least 1, got 0"),
+        ("golden-range2", "kind = theorem2\nell = 0", "line 6: ell must be at least 1, got 0"),
     ],
 )
 def test_empty_ranges_and_zero_counts_exit_2(tmp_path, capsys, system, experiment, message):
@@ -374,3 +372,92 @@ def test_identities_refuses_zero_counts(tmp_path, capsys, entry):
     cfg.write_text(f"[experiment]\nkind = identities\n{entry}\n")
     assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"line 3: {entry.split()[0]} must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, message",
+    [
+        ("kind = theorem1\ntrails = 2", "line 6: theorem1 does not read 'trails'"),
+        ("kind = theorem2\nobservable = occ", "line 6: theorem2 does not read 'observable'"),
+        ("kind = theorem1\nmeasure = occ", "line 6: theorem1 does not read 'measure'"),
+        ("kind = pressure\nn = 4", "line 6: pressure does not read 'n'; it reads kind, seed"),
+        ("kind = theorem2\nform = nope", "line 6: unknown form 'nope'"),
+        ("kind = partition-sums\nstate = z", "line 6: unknown state 'z'"),
+    ],
+)
+def test_unread_keys_and_unknown_values_exit_2_with_their_line(
+    tmp_path, capsys, experiment, message
+):
+    cfg = tmp_path / "keys.cfg"
+    cfg.write_text(
+        f"[shift]\nsystem = golden-range2\n\n[experiment]\n{experiment}\n"
+        '[observable occ]\nvalue "a" = 1.0\ndefault = 0.0\n'
+    )
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_measure_sections_are_unknown():
+    with pytest.raises(ConfigError, match=r"line 3: unknown section \[measure\]"):
+        parse_config(
+            "[shift]\nbuiltin = full-2\n[measure walk]\nrandom = 3\n"
+            "[experiment]\nkind = pressure\n"
+        )
+
+
+def test_overflowing_partition_sum_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(
+        "[shift]\nstates = a b c\nedges = ab ac ba\n"
+        '[potential]\nrange = 1\ndefault = 1\nvalue "a" = 700.0\nvalue "b" = -2.0\n'
+        "[experiment]\nkind = partition-sums\n"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "error: partition sum at n=4 overflows a float" in capsys.readouterr().err
+
+
+# The three cross-checks below are judged by the experiment alone: a
+# disagreement injected into one route prints FAIL, keeps the CSV, exits 1.
+
+
+def run_failing(tmp_path, capsys, experiment, check):
+    cfg = tmp_path / "fail.cfg"
+    cfg.write_text(f"[shift]\nsystem = golden-range2\n\n[experiment]\n{experiment}\n")
+    out = tmp_path / "out"
+    assert run_main(["run", str(cfg), "--out", str(out)]) == 1
+    summary = capsys.readouterr().out
+    assert f"check {check}: FAIL" in summary
+    assert "result: FAIL" in summary
+    kind = experiment.split("\n")[0].split(" = ")[1]
+    return (out / f"{kind}.csv").read_text().splitlines()
+
+
+def test_route_agreement_can_fail(tmp_path, capsys, monkeypatch):
+    matrix = transfer.transfer_matrix
+    monkeypatch.setattr(transfer, "transfer_matrix", lambda s, p: matrix(s, p) * (1.0 + 1e-6))
+    lines = run_failing(tmp_path, capsys, "kind = partition-sums\nn = 1..4", "route-agreement")
+    assert len(lines) == 5
+    assert float(lines[1].split(",")[3]) > 1e-7
+
+
+def test_cylinder_window_can_fail(tmp_path, capsys, monkeypatch):
+    def narrowed(phi):
+        data = transfer.equilibrium(phi)
+        h = data.h.copy()
+        h[np.argmin(h)] *= 1.0 + 1e-3
+        return dataclasses.replace(data, h=h)
+
+    monkeypatch.setattr(cli, "equilibrium", narrowed)
+    lines = run_failing(tmp_path, capsys, "kind = gibbs\nn-max = 4", "cylinder-window")
+    empirical, apriori = map(float, lines[1].split(",")[1:3])
+    assert empirical > apriori
+
+
+def test_exchange_identity_can_fail(tmp_path, capsys, monkeypatch):
+    rate = approx.entropy_rate
+    monkeypatch.setattr(approx, "entropy_rate", lambda mu: rate(mu) + 1e-6)
+    lines = run_failing(tmp_path, capsys, "kind = corollary3\ntrials = 3", "exchange-identity")
+    assert len(lines) == 4
+    assert float(lines[1].split(",")[6]) == pytest.approx(1e-6, rel=1e-3)

@@ -490,3 +490,14 @@ def test_measures_pickle_with_their_caches():
     copy = pickle.loads(pickle.dumps(mu))
     assert [block_entropy(copy, n) for n in (4, 2)] + [conditional_entropy(copy, 2)] == values
     assert block_entropy(copy, 6) == block_entropy(mu, 6)
+
+
+def test_pickled_measures_stay_read_only():
+    mu = perron_data(*builtin_system("golden-range2")).measure
+    reverse_kernel(mu)
+    copy = pickle.loads(pickle.dumps(mu))
+    for array in (copy.kernel, copy.initial, reverse_kernel(copy)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+    assert copy.kernel.tobytes() == mu.kernel.tobytes()
+    assert copy.initial.tobytes() == mu.initial.tobytes()
