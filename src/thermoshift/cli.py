@@ -46,7 +46,6 @@ from .measures import (
     entropy_rate,
     kl_divergence,
     metric_pressure,
-    pinsker_gap,
     random_markov_measure,
 )
 from .potential import LocallyConstantFunction, add, random_function
@@ -61,6 +60,8 @@ from .transfer import (
 )
 
 IDENTITY_TOL = 1e-10
+# values of theorem2's form key, which picks the inequalities it reports
+_FORMS = ("general", "markov", "both")
 
 
 class ConfigError(ValueError):
@@ -369,6 +370,16 @@ def parse_config(text: str) -> ExperimentConfig:
         name, lineno = params["observable"]
         if name not in observables:
             raise ConfigError(f"experiment references undefined observable {name!r}", lineno)
+    if "form" in params and params["form"][0] not in _FORMS:
+        raise ConfigError(f"unknown form {params['form'][0]!r}", params["form"][1])
+    if "state" in params and shift is not None:
+        _at_line(params["state"][1], shift.index, params["state"][0])
+    # sections the kind would build and then drop, refused after every
+    # [experiment] value has been read
+    if pert_sec and kind != "corollary3":
+        raise ConfigError(f"{kind} does not read a [perturbation] section", pert_sec[0].line)
+    if obs_secs and "observable" not in _KINDS[kind].keys:
+        raise ConfigError(f"{kind} does not read [observable] sections", obs_secs[0].line)
 
     return ExperimentConfig(
         kind=kind,
@@ -468,16 +479,19 @@ def _report_row(cfg: ExperimentConfig, rep, **given) -> tuple:
 
 def _slack_check(reports: list, label: str) -> Check:
     """Slack must be nonnegative on every report that claims something;
-    vacuous and pre-asymptotic reports claim nothing and are skipped."""
+    vacuous and pre-asymptotic reports claim nothing and are skipped.  A nan
+    slack on a claiming report makes the smallest slack nan, which fails."""
     claims = (r for r in reports if not (r.vacuous or r.params.get("pre_asymptotic")))
-    slack = min((math.inf, *(r.slack for r in claims)))
+    slacks = [r.slack for r in claims]
+    slack = math.nan if any(map(math.isnan, slacks)) else min((math.inf, *slacks))
     return Check("slack-nonnegative", slack >= 0.0, f"{label} {slack:.6g}")
 
 
 def _worst(deviations) -> float:
-    """The largest deviation, 0.0 for none.  A nan is passed over, so it
-    reads as no deviation."""
-    return max((0.0, *deviations))
+    """The largest deviation, 0.0 for none.  A nan deviation makes the
+    result nan, so every check against a tolerance fails on it."""
+    values = list(deviations)
+    return math.nan if any(map(math.isnan, values)) else max((0.0, *values))
 
 
 def _deviation_check(name: str, label: str, deviations) -> Check:
@@ -521,8 +535,6 @@ def _build_partition_sums(cfg: ExperimentConfig):
     if cfg.phi.depth > 2:
         raise ConfigError("partition sums need a potential of range at most 2")
     state = _param(cfg.params, "state", cfg.shift.states[0])
-    if "state" in cfg.params:
-        _at_line(cfg.params["state"][1], cfg.shift.index, state)
     n_range = _range_param(cfg.params, "n", range(1, 13))
     estimates = gurevich_estimate(cfg.shift, cfg.phi, state, max(n_range))
     gur = {n: (value, residual) for n, value, residual in estimates}
@@ -555,8 +567,6 @@ def _build_theorem2(cfg: ExperimentConfig):
     trials = _count_param(cfg.params, "trials", 20)
     n_range = _range_param(cfg.params, "n", range(1, 13))
     form = _param(cfg.params, "form", "both")
-    if form not in ("general", "markov", "both"):
-        raise ConfigError(f"unknown form {form!r}", cfg.params["form"][1])
     ell = next(k for k in range(1, data.phi.depth + 1) if data.phi.variation(k) == 0.0)
     ell = _count_param(cfg.params, "ell", ell)
     reports = []
@@ -594,6 +604,11 @@ def _build_corollary2(cfg: ExperimentConfig):
         reports = combined_orbit_harness(sub, _pick_observable(cfg), k_range)
     else:
         _require_finite(cfg)
+        if "n" in cfg.params:
+            raise ConfigError(
+                "corollary2 reads n, the truncation size, only on a countable model",
+                cfg.params["n"][1],
+            )
         data = equilibrium(cfg.phi)
         f = _pick_observable(cfg)
         if data.recoding is not None:
@@ -617,6 +632,12 @@ def _build_corollary3(cfg: ExperimentConfig):
         raise ConfigError("corollary3 needs potentials of range at most 2")
     f = _pick_observable(cfg)
     if cfg.perturbation is not None:
+        for key in ("trials", "max-diff"):
+            if key in cfg.params:
+                raise ConfigError(
+                    f"corollary3 does not read {key!r} beside a [perturbation] section",
+                    cfg.params[key][1],
+                )
         candidates = [cfg.perturbation]
     else:
         trials = _count_param(cfg.params, "trials", 100)
@@ -682,16 +703,16 @@ def _build_identities(cfg: ExperimentConfig):
         ident = _worst(abs(avg_c - avg_b) for _, _, avg_c, avg_b in averaging)
         records.append((name, "averaging-identity", ident, IDENTITY_TOL))
 
+    # Pinsker: |q - p|_1 <= sqrt(2 KL), and a negative divergence violates
+    # it outright; one divergence per pair serves both tests
     violations = 0
     rng = np.random.default_rng([cfg.seed, 6])
     for _ in range(200):
         dim = int(rng.integers(2, 9))
         p = rng.dirichlet([1.0] * dim)
         q = rng.dirichlet([1.0] * dim)
-        l1, bound = pinsker_gap(p, q)
-        if l1 > bound + 1e-12:
-            violations += 1
-        if kl_divergence(p, q) < 0.0:
+        kl = kl_divergence(p, q)
+        if kl < 0.0 or float(np.abs(q - p).sum()) > math.sqrt(2.0 * kl) + 1e-12:
             violations += 1
     records.append(("global", "pinsker-violations", float(violations), 0.0))
     return records, [(s, c, value, tol, value <= tol) for s, c, value, tol in records]

@@ -54,22 +54,22 @@ class MarkovMeasure:
         for name, v in (("kernel", p), ("initial", pi)):
             if not np.isfinite(v).all():
                 raise ValueError(f"{name} has non-finite entries")
-        if np.any(p < 0.0) or np.any(pi < 0.0):
+        if (p < 0.0).any() or (pi < 0.0).any():
             raise ValueError("negative probabilities")
-        if np.any((p > 0.0) & (self.base.matrix == 0)):
+        if ((p > 0.0) & (self.base.matrix == 0)).any():
             raise ValueError("kernel puts mass on a forbidden transition")
         rows = p.sum(axis=1)
         live = pi > 0.0
-        if np.any(np.abs(rows[live] - 1.0) > STATIONARY_TOL):
+        if (np.abs(rows[live] - 1.0) > STATIONARY_TOL).any():
             raise ValueError("kernel rows on the support do not sum to 1")
         # rows at states of measure zero may be stochastic or identically zero
         dead = ~live
         bad = dead & (np.abs(rows - 1.0) > STATIONARY_TOL) & (rows != 0.0)
-        if np.any(bad):
+        if bad.any():
             raise ValueError("off-support kernel rows must be stochastic or zero")
         if abs(pi.sum() - 1.0) > 1e-10:
             raise ValueError("stationary vector does not sum to 1")
-        if np.max(np.abs(pi @ p - pi)) > 1e-10:
+        if np.abs(pi @ p - pi).max() > 1e-10:
             raise ValueError("vector is not stationary for the kernel")
         p.setflags(write=False)
         pi.setflags(write=False)
@@ -164,13 +164,14 @@ def _recurrent_classes(adjacency: np.ndarray):
     """Strongly connected components with no outgoing edge, as sorted index
     lists in the order of their smallest state."""
     ncomp, comp = strong_components(adjacency)
-    closed = []
-    for c in range(ncomp):
-        members = np.flatnonzero(comp == c)
-        outside = adjacency[np.ix_(members, np.flatnonzero(comp != c))]
-        if outside.size == 0 or not np.any(outside):
-            closed.append(members.tolist())
-    return closed
+    heads, tails = np.nonzero(adjacency)
+    head_comp = comp[heads]
+    # components that some edge leaves
+    leaky = set(head_comp[head_comp != comp[tails]].tolist())
+    members = [[] for _ in range(ncomp)]
+    for i, c in enumerate(comp.tolist()):
+        members[c].append(i)
+    return [members[c] for c in range(ncomp) if c not in leaky]
 
 
 def make_markov_measure(shift: TransitionMatrix, kernel) -> MarkovMeasure:
@@ -185,12 +186,12 @@ def make_markov_measure(shift: TransitionMatrix, kernel) -> MarkovMeasure:
         raise ValueError(f"kernel must be {shift.n}x{shift.n}")
     if not np.isfinite(p).all():
         raise ValueError("kernel has non-finite entries")
-    if np.any(p < 0.0):
+    if (p < 0.0).any():
         raise ValueError("kernel has negative entries")
-    if np.any((p > 0.0) & (shift.matrix == 0)):
+    if ((p > 0.0) & (shift.matrix == 0)).any():
         raise ValueError("kernel puts mass on a forbidden transition")
     rows = p.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > KERNEL_ROW_TOL):
+    if (np.abs(rows - 1.0) > KERNEL_ROW_TOL).any():
         raise ValueError("kernel rows must sum to 1")
     p = p / rows[:, None]
 
@@ -373,7 +374,7 @@ def kl_divergence(p, q) -> float:
     for name, v in (("p", ps), ("q", qs)):
         if not all(map(math.isfinite, v)):
             raise ValueError(f"{name} has non-finite entries")
-    if np.any(p < 0.0) or np.any(q < 0.0):
+    if min(ps, default=0.0) < 0.0 or min(qs, default=0.0) < 0.0:
         raise ValueError("negative entries")
     if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
         raise ValueError("arguments must be probability vectors")

@@ -28,8 +28,8 @@ from .shift import (
 
 GAP_PROBE_DEPTH = 50
 # the probe reduces its iterate norms a block of powers at a time, with at
-# most this many entries per block: one numpy reduction per kernel on small
-# shifts, cache-sized temporaries (not 50 n^2 floats) on large ones
+# most this many entries per block: one numpy reduction for both kernels on
+# small shifts, cache-sized temporaries (not 100 n^2 floats) on large ones
 PROBE_BLOCK_ENTRIES = 1 << 15
 # iterate norms at float-noise level say nothing about the true decay rate
 NOISE_FLOOR = 1e-13
@@ -154,18 +154,22 @@ def _gap_prefactor(p: np.ndarray, q: np.ndarray, pi: np.ndarray, kappa: float) -
     """
     size = len(pi)
     limit = np.outer(np.ones_like(pi), pi)
-    block = np.empty((max(1, min(GAP_PROBE_DEPTH, PROBE_BLOCK_ENTRIES // size**2)), size, size))
+    # both kernels advance together: block[k] holds (p^n, q^n) for one n
+    kernels = np.stack((p, q))
+    per_block = max(1, min(GAP_PROBE_DEPTH, PROBE_BLOCK_ENTRIES // (2 * size**2)))
+    block = np.empty((per_block, 2, size, size))
+    power = np.eye(size)
+    norms = []
+    for start in range(0, GAP_PROBE_DEPTH, per_block):
+        count = min(per_block, GAP_PROBE_DEPTH - start)
+        for k in range(count):
+            # matmul buffers an input that overlaps out, as power does when
+            # a block holds one power
+            power = np.matmul(power, kernels, out=block[k])
+        norms += np.abs(block[:count] - limit).sum(axis=3).max(axis=2).tolist()
     c = 1.0
-    for kernel in (p, q):
-        power = np.eye(size)
-        norms = []
-        for start in range(0, GAP_PROBE_DEPTH, len(block)):
-            count = min(len(block), GAP_PROBE_DEPTH - start)
-            for k in range(count):
-                power = power @ kernel
-                block[k] = power
-            norms += np.abs(block[:count] - limit).sum(axis=2).max(axis=1).tolist()
-        for n, norm in enumerate(norms, start=1):
+    for kernel_norms in zip(*norms):  # the norms of p^n, then those of q^n
+        for n, norm in enumerate(kernel_norms, start=1):
             if norm <= NOISE_FLOOR:
                 continue
             decay = kappa**n if kappa > 0.0 else 1.0

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from thermoshift import approx, cli, transfer
+from thermoshift import approx, cli, measures, transfer
 from thermoshift.cli import ConfigError, main, parse_config
 
 GOLDEN_THEOREM1 = """
@@ -18,6 +18,10 @@ kind = theorem1
 trials = 8
 seed = 5
 """
+
+
+PERTURBATION = '[perturbation]\nrange = 2\ndefault = 0.1\nvalue "ab" = -0.2\n'
+OCCUPATION = '[observable occ]\nvalue "a" = 1.0\ndefault = 0.0\n'
 
 
 def run_main(args):
@@ -461,3 +465,112 @@ def test_exchange_identity_can_fail(tmp_path, capsys, monkeypatch):
     lines = run_failing(tmp_path, capsys, "kind = corollary3\ntrials = 3", "exchange-identity")
     assert len(lines) == 4
     assert float(lines[1].split(",")[6]) == pytest.approx(1e-6, rel=1e-3)
+
+
+# A nan fails the check it reaches, like any other value outside tolerance.
+
+
+def test_nan_route_deviation_fails(tmp_path, capsys, monkeypatch):
+    real = transfer.partition_sum
+
+    def poisoned(shift, phi, state, n):
+        sums = real(shift, phi, state, n)
+        return sums._replace(enumeration=math.nan) if n == 2 else sums
+
+    monkeypatch.setattr(cli, "partition_sum", poisoned)
+    lines = run_failing(tmp_path, capsys, "kind = partition-sums\nn = 1..4", "route-agreement")
+    assert lines[2].split(",")[3] == "nan"
+
+
+def test_nan_slack_fails(tmp_path, capsys, monkeypatch):
+    real = cli.pressure_gap_bound
+    calls = []
+
+    def poisoned(data, mu, f):
+        calls.append(None)
+        rep = real(data, mu, f)
+        return dataclasses.replace(rep, rhs=math.nan) if len(calls) == 2 else rep
+
+    monkeypatch.setattr(cli, "pressure_gap_bound", poisoned)
+    lines = run_failing(tmp_path, capsys, "kind = theorem1\ntrials = 4", "slack-nonnegative")
+    assert lines[2].split(",")[6] == "nan"
+
+
+def test_nan_identity_record_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "conditional_kl_integral", lambda gibbs, mu: math.nan)
+    cfg = tmp_path / "id.cfg"
+    cfg.write_text("[experiment]\nkind = identities\ntrials = 2\nk-max = 2\nn-max = 2\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    summary = capsys.readouterr().out
+    assert "check golden-zero/kl-pressure: FAIL (nan vs 1e-10)" in summary
+    assert "golden-zero,kl-pressure,nan,1e-10,false" in (tmp_path / "out" / "identities.csv").read_text()
+
+
+def test_negative_divergence_counts_as_pinsker_violation(tmp_path, capsys, monkeypatch):
+    # every divergence the run takes, the Pinsker pairs' included, is negative
+    for module in (measures, cli):
+        monkeypatch.setattr(module, "kl_divergence", lambda p, q: -1e-6)
+    cfg = tmp_path / "id.cfg"
+    cfg.write_text("[experiment]\nkind = identities\ntrials = 2\nk-max = 2\nn-max = 2\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert "check global/pinsker-violations: FAIL (200 vs 0)" in out
+    assert err == ""
+
+
+# Sections and keys a kind would build and then drop are refused with their line.
+
+
+@pytest.mark.parametrize(
+    "sections, experiment, message",
+    [
+        (PERTURBATION, "kind = theorem1", "line 3: theorem1 does not read a [perturbation] section"),
+        (PERTURBATION, "kind = corollary2", "line 3: corollary2 does not read a [perturbation]"),
+        (OCCUPATION, "kind = gibbs", "line 3: gibbs does not read [observable] sections"),
+        (OCCUPATION, "kind = pressure", "line 3: pressure does not read [observable] sections"),
+        (
+            PERTURBATION,
+            "kind = corollary3\ntrials = 0",
+            "line 9: corollary3 does not read 'trials' beside a [perturbation] section",
+        ),
+        (
+            PERTURBATION,
+            "kind = corollary3\nmax-diff = 0.2",
+            "line 9: corollary3 does not read 'max-diff' beside a [perturbation] section",
+        ),
+        ("", "kind = corollary2\nn = 4", "line 5: corollary2 reads n, the truncation size, only"),
+    ],
+    ids=[
+        "perturbation-theorem1",
+        "perturbation-corollary2",
+        "observable-gibbs",
+        "observable-pressure",
+        "corollary3-trials",
+        "corollary3-max-diff",
+        "corollary2-finite-n",
+    ],
+)
+def test_dropped_sections_and_keys_exit_2_with_their_line(
+    tmp_path, capsys, sections, experiment, message
+):
+    cfg = tmp_path / "drop.cfg"
+    cfg.write_text(f"[shift]\nsystem = golden-range2\n{sections}[experiment]\n{experiment}\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sections_a_kind_reads_still_run(tmp_path, capsys):
+    cfg = tmp_path / "read.cfg"
+    cfg.write_text(
+        f"[shift]\nsystem = golden-range2\n{PERTURBATION}{OCCUPATION}"
+        "[experiment]\nkind = corollary3\nobservable = occ\n"
+    )
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "corollary3.csv").read_text().splitlines()) == 2
+    model = tmp_path / "model.cfg"
+    model.write_text(
+        '[shift]\nmodel = zeta(2)\n[observable o]\nvalue "2" = 1.0\n'
+        "[experiment]\nkind = corollary2\nn = 3\nk = 3..5\n"
+    )
+    assert run_main(["run", str(model), "--out", str(tmp_path / "out")]) == 0

@@ -4,7 +4,9 @@ per-element formulas they replaced (inlined below as oracles, compared with
 the reversed kernel and the gap-prefactor probe.  Likewise the word-tree
 routes of ``partition_sum`` and ``gibbs_certificate`` against the per-word
 loops, the per-measure entropy caches against a fresh dynamic program, and
-the safety of those caches."""
+the safety of those caches.  The list-validated ``kl_divergence``, the
+table-read ``same_shift`` and the one-pass ``_recurrent_classes`` are held
+to the numpy versions they replaced the same way."""
 
 import math
 import pickle
@@ -17,9 +19,12 @@ from hypothesis import strategies as st
 from thermoshift.bounds import reduction_step_norms
 from thermoshift.measures import (
     MarkovMeasure,
+    _recurrent_classes,
+    _rel_entr,
     block_entropy,
     conditional_entropy,
     entropy_rate,
+    kl_divergence,
     make_markov_measure,
     reverse_kernel,
 )
@@ -32,6 +37,7 @@ from thermoshift.shift import (
     enumerate_words,
     higher_block_recode,
     is_topologically_mixing,
+    strong_components,
 )
 from thermoshift.systems import builtin_system
 from thermoshift.transfer import (
@@ -177,6 +183,48 @@ def is_mixing_oracle(shift):
     a = shift.matrix.astype(np.int64)
     power = np.linalg.matrix_power(a, (shift.n - 1) ** 2 + 1)
     return bool(np.all(power > 0))
+
+
+def kl_divergence_oracle(p, q):
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError("length mismatch")
+    ps, qs = p.tolist(), q.tolist()
+    for name, v in (("p", ps), ("q", qs)):
+        if not all(map(math.isfinite, v)):
+            raise ValueError(f"{name} has non-finite entries")
+    if np.any(p < 0.0) or np.any(q < 0.0):
+        raise ValueError("negative entries")
+    if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
+        raise ValueError("arguments must be probability vectors")
+    total = float(np.array([_rel_entr(x, y) for x, y in zip(qs, ps)]).sum())
+    if -1e-12 < total < 0.0:
+        total = 0.0
+    return total
+
+
+def same_shift_oracle(one, other):
+    return one.states == other.states and np.array_equal(one.matrix, other.matrix)
+
+
+def recurrent_classes_oracle(adjacency):
+    ncomp, comp = strong_components(adjacency)
+    closed = []
+    for c in range(ncomp):
+        members = np.flatnonzero(comp == c)
+        outside = adjacency[np.ix_(members, np.flatnonzero(comp != c))]
+        if outside.size == 0 or not np.any(outside):
+            closed.append(members.tolist())
+    return closed
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "value", fn(*args)
+    except ValueError as exc:
+        return "raises", type(exc), str(exc)
 
 
 def matches_matrix(shift):
@@ -501,3 +549,120 @@ def test_pickled_measures_stay_read_only():
             array[0] = 0.5
     assert copy.kernel.tobytes() == mu.kernel.tobytes()
     assert copy.initial.tobytes() == mu.initial.tobytes()
+
+
+# -- list-validated divergence, table-read shift equality, one-pass classes ----
+
+
+@st.composite
+def divergence_arguments(draw):
+    """Probability vectors of length 1-200 with zero entries, across numpy's
+    8- and 128-element pairwise-summation boundaries; sometimes spoiled with
+    a negative or non-finite entry, a length mismatch or a wrong total."""
+    n = draw(st.integers(min_value=1, max_value=200))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.2, 0.6]))
+
+    def vector():
+        w = rng.random(n) * (rng.random(n) >= zeros)
+        total = w.sum()
+        return w / total if total > 0.0 else w
+
+    p, q = vector(), vector()
+    spoil = draw(st.sampled_from(["none", "none", "negative", "nan", "inf", "short", "scale"]))
+    target = p if draw(st.booleans()) else q
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    if spoil == "negative":
+        target[k] = -draw(st.floats(min_value=1e-300, max_value=1.0))
+    elif spoil in ("nan", "inf"):
+        target[k] = float(spoil)
+    elif spoil == "scale":
+        target *= draw(st.floats(min_value=0.5, max_value=2.0))
+    elif spoil == "short":
+        return p, q[: n - 1]
+    return p, q
+
+
+@given(divergence_arguments())
+@settings(max_examples=400, deadline=None)
+def test_kl_divergence_matches_numpy_validated_oracle(args):
+    p, q = args
+    assert outcome(kl_divergence, p, q) == outcome(kl_divergence_oracle, p, q)
+    assert outcome(kl_divergence, p.tolist(), q.tolist()) == outcome(kl_divergence_oracle, p, q)
+
+
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        ([], [], "arguments must be probability vectors"),
+        ([1.5, -0.5], [0.5, 0.5], "negative entries"),
+        ([0.5, 0.5], [1.5, -0.5], "negative entries"),
+        ([0.5, math.nan], [0.5, 0.5], "p has non-finite entries"),
+        ([0.5, 0.5], [-math.inf, 0.5], "q has non-finite entries"),
+        ([0.5, 0.5], [1.0], "length mismatch"),
+        ([0.5, 0.25], [0.5, 0.5], "arguments must be probability vectors"),
+    ],
+)
+def test_kl_divergence_refusals_match_oracle(p, q, message):
+    expected = ("raises", ValueError, message)
+    assert outcome(kl_divergence, p, q) == outcome(kl_divergence_oracle, p, q) == expected
+
+
+def test_kl_divergence_takes_negative_zero_as_zero():
+    p, q = [0.5, 0.5], [1.0, -0.0]
+    assert outcome(kl_divergence, p, q) == outcome(kl_divergence_oracle, p, q)
+    assert kl_divergence(p, q) == math.log(2.0)
+
+
+@given(pruned_shifts(), pruned_shifts(), st.integers(min_value=0, max_value=24))
+@settings(max_examples=150, deadline=None)
+def test_same_shift_matches_array_equal(one, other, flip):
+    copy = TransitionMatrix(states=one.states, matrix=one.matrix.copy())
+    m = one.matrix.copy()
+    m.flat[flip % m.size] ^= 1
+    flipped = TransitionMatrix(states=one.states, matrix=m)
+    pairs = [(one, one), (one, copy), (one, other), (other, one), (one, flipped)]
+    pairs += [(one, higher_block_recode(one, ell).new) for ell in (2, 3)]
+    for a, b in pairs:
+        assert a.same_shift(b) == same_shift_oracle(a, b)
+    assert one.same_shift(copy) and not one.same_shift(flipped)
+    # with one-letter labels, 2-blocks relabel nothing
+    assert one.same_shift(higher_block_recode(one, 2).new)
+
+
+def _kernel_with_classes(rng):
+    """A random kernel with 1-3 closed classes and 0-3 transient states on
+    shuffled indices, and its closed classes in the order of their smallest
+    state."""
+    sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
+    transient = int(rng.integers(0, 4))
+    n = sum(sizes) + transient
+    order = rng.permutation(n).tolist()
+    w = np.zeros((n, n))
+    classes, start = [], 0
+    for size in sizes:
+        members = order[start:start + size]
+        start += size
+        for a, b in zip(members, members[1:] + members[:1]):
+            w[a, b] = 1.0  # a cycle through the class
+        for a in members:
+            for b in members:
+                if rng.random() < 0.3:
+                    w[a, b] = 1.0
+        classes.append(sorted(members))
+    recurrent = [i for cls in classes for i in cls]
+    for a in order[start:]:
+        w[a, recurrent[int(rng.integers(len(recurrent)))]] = 1.0  # a way out
+        for b in range(n):
+            if b not in recurrent and rng.random() < 0.4:
+                w[a, b] = 1.0
+    w *= rng.uniform(0.1, 1.0, size=(n, n))
+    return w / w.sum(axis=1, keepdims=True), sorted(classes)
+
+
+def test_recurrent_classes_match_submatrix_oracle():
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        p, classes = _kernel_with_classes(rng)
+        adjacency = p > 0.0
+        assert _recurrent_classes(adjacency) == recurrent_classes_oracle(adjacency) == classes
