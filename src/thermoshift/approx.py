@@ -11,7 +11,8 @@ sqrt(2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -241,8 +242,10 @@ class PeriodicOrbitMeasure:
     phi: LocallyConstantFunction
     k: int
     scaled: np.ndarray  # B / rho
-    power: np.ndarray  # (B / rho)^k, trace Z / rho^k
+    power: np.ndarray  # (B / rho)^k
     log_normalizer: float
+    trace: float  # tr (B / rho)^k = Z / rho^k
+    family: _OrbitFamily = field(repr=False)
 
     def expectation(self, f: LocallyConstantFunction) -> float:
         """nu(f) for f of any range r.  With m = min(r, k), the period-k
@@ -253,15 +256,18 @@ class PeriodicOrbitMeasure:
             raise ValueError("observable lives on a different shift")
         r, k = f.depth, self.k
         m = min(r, k)
-        closing = np.linalg.matrix_power(self.scaled, k - m + 1)
+        closing = self.power if m == 1 else np.linalg.matrix_power(self.scaled, k - m + 1)
+        closing = closing.tolist()  # plain floats: the same products, no dispatch
+        scaled = self.family.rows
+        table = f.table
         total = 0.0
-        for u in enumerate_words(self.base, m):
-            weight = closing[u[-1], u[0]]
-            for a, b in zip(u, u[1:]):
-                weight *= self.scaled[a, b]
+        for last, first, edges, u in self.family.words(m):
+            weight = closing[last][first]
+            for a, b in edges:
+                weight *= scaled[a][b]
             if weight > 0.0:
-                total += weight * f.table[tuple(u[i % m] for i in range(r))]
-        return float(total / np.trace(self.power))
+                total += weight * table[u if m == r else tuple(u[i % m] for i in range(r))]
+        return total / self.trace
 
     def block_entropy(self) -> float:
         """Entropy over length-k cylinders; each holds at most one atom.
@@ -272,16 +278,113 @@ class PeriodicOrbitMeasure:
         under rotation, so orbit_entropy_identity compares two evaluations.
         """
         n = self.base.n
-        tilted = self.scaled * edge_values(self.base, self.phi)
-        lift = np.block([[self.scaled, tilted], [np.zeros((n, n)), self.scaled]])
-        corner = np.linalg.matrix_power(lift, self.k)[:n, n:]
-        return float(self.log_normalizer - np.trace(corner) / np.trace(self.power))
+        corner = np.linalg.matrix_power(self.family.lift, self.k)[:n, n:]
+        return float(self.log_normalizer - np.trace(corner) / self.trace)
 
     def marginal_entropy(self) -> float:
         """Entropy of the first symbol, whose law is diag(B^k) / Z."""
-        mass = np.diag(self.power) / np.trace(self.power)
+        mass = np.diag(self.power) / self.trace
         live = mass[mass > 0.0]
         return float(-np.sum(live * np.log(live)))
+
+
+class _OrbitFamily:
+    """What the periodic-orbit measures of one (shift, phi) share.
+
+    B, its eigenvalues, rho and B / rho are computed once, at the first
+    period that passes the argument checks; the tilted lift and the word
+    lists of each length once, when a measure first reads them.  Every
+    period still forms its own (B / rho)^k and runs every check of
+    periodic_orbit_measure, in the same order and with the same messages.
+    """
+
+    def __init__(self, shift: TransitionMatrix, phi: LocallyConstantFunction):
+        self.base = shift
+        self.phi = phi
+        self._words = {}
+
+    @cached_property
+    def _spectrum(self):
+        """(eigenvalues of B, rho, B / rho)."""
+        b = transfer_matrix(self.base, self.phi)
+        eigenvalues = np.linalg.eigvals(b)
+        rho = float(np.max(np.abs(eigenvalues)))
+        return eigenvalues, rho, b / rho if rho > 0.0 else b
+
+    @cached_property
+    def _ratios(self) -> np.ndarray:
+        """lambda_i / rho.  Like log rho, first formed after a period's trace
+        is seen positive and finite, so a zero or infinite rho never gets here."""
+        eigenvalues, rho, _ = self._spectrum
+        return eigenvalues / rho
+
+    @cached_property
+    def _log_rho(self) -> float:
+        return math.log(self._spectrum[1])
+
+    @cached_property
+    def rows(self) -> list:
+        """B / rho as nested lists, for the per-word products."""
+        return self._spectrum[2].tolist()
+
+    @cached_property
+    def lift(self) -> np.ndarray:
+        """[[B/rho, (B/rho)*phi], [0, B/rho]], whose k-th power's top-right
+        block sums e^{S(w)} S(w) over the period-k words, in units of rho^k."""
+        n = self.base.n
+        scaled = self._spectrum[2]
+        tilted = scaled * edge_values(self.base, self.phi)
+        return np.block([[scaled, tilted], [np.zeros((n, n)), scaled]])
+
+    def words(self, m: int) -> list:
+        """(last symbol, first symbol, edges, word) of every admissible m-word."""
+        if m not in self._words:
+            self._words[m] = [
+                (u[-1], u[0], tuple(zip(u, u[1:])), u) for u in enumerate_words(self.base, m)
+            ]
+        return self._words[m]
+
+    def measure(self, k: int) -> PeriodicOrbitMeasure:
+        """The period-k measure; see periodic_orbit_measure."""
+        if self.phi.depth > 2:
+            raise ValueError("needs a potential of range at most 2")
+        if k < 1:
+            raise ValueError("period must be at least 1")
+        _, rho, scaled = self._spectrum
+        power = np.linalg.matrix_power(scaled, k)
+        trace = float(np.trace(power))
+        if not (math.isfinite(rho) and math.isfinite(trace)):
+            raise ValueError(
+                f"period-{k} weights are not finite: spectral radius {rho}, "
+                f"scaled trace {trace}"
+            )
+        if trace <= 0.0:
+            raise ValueError(f"no periodic points of period {k}")
+        spectral = float(np.sum(self._ratios**k).real)
+        if abs(trace - spectral) > 1e-10 * max(1.0, trace):
+            raise RuntimeError(
+                f"normalizer rho^k * {trace} disagrees with the eigenvalue sum "
+                f"rho^k * {spectral} at k={k}"
+            )
+        return PeriodicOrbitMeasure(
+            base=self.base,
+            phi=self.phi,
+            k=k,
+            scaled=scaled,
+            power=power,
+            log_normalizer=k * self._log_rho + math.log(trace),
+            trace=trace,
+            family=self,
+        )
+
+
+def periodic_orbit_measures(shift: TransitionMatrix, phi: LocallyConstantFunction, periods):
+    """periodic_orbit_measure(shift, phi, k) for each k of periods, in order,
+    sharing B, its eigenvalues, the tilted lift and the word lists.  Each
+    period is checked, and refused, when the iteration reaches it."""
+    family = _OrbitFamily(shift, phi)
+    for k in periods:
+        yield family.measure(k)
 
 
 def periodic_orbit_measure(
@@ -292,37 +395,7 @@ def periodic_orbit_measure(
     The normalizer tr B^k is cross-checked against the eigenvalue sum
     sum_i lambda_i^k to 1e-10 relative, both in units of rho^k.
     """
-    if phi.depth > 2:
-        raise ValueError("needs a potential of range at most 2")
-    if k < 1:
-        raise ValueError("period must be at least 1")
-    b = transfer_matrix(shift, phi)
-    eigenvalues = np.linalg.eigvals(b)
-    rho = float(np.max(np.abs(eigenvalues)))
-    scaled = b / rho if rho > 0.0 else b
-    power = np.linalg.matrix_power(scaled, k)
-    trace = float(np.trace(power))
-    if not (math.isfinite(rho) and math.isfinite(trace)):
-        raise ValueError(
-            f"period-{k} weights are not finite: spectral radius {rho}, "
-            f"scaled trace {trace}"
-        )
-    if trace <= 0.0:
-        raise ValueError(f"no periodic points of period {k}")
-    spectral = float(np.sum((eigenvalues / rho) ** k).real)
-    if abs(trace - spectral) > 1e-10 * max(1.0, trace):
-        raise RuntimeError(
-            f"normalizer rho^k * {trace} disagrees with the eigenvalue sum "
-            f"rho^k * {spectral} at k={k}"
-        )
-    return PeriodicOrbitMeasure(
-        base=shift,
-        phi=phi,
-        k=k,
-        scaled=scaled,
-        power=power,
-        log_normalizer=k * math.log(rho) + math.log(trace),
-    )
+    return _OrbitFamily(shift, phi).measure(k)
 
 
 def orbit_entropy_identity(nu: PeriodicOrbitMeasure, phi: LocallyConstantFunction):
@@ -351,10 +424,11 @@ def periodic_orbit_harness(
     delta = data.kappa
     eff = _effective(data.b, data, f)[0]
     m_f = integrate(data.measure, f)
+    family = _OrbitFamily(data.shift, data.phi)
     for k in k_range:
         if k < 3:
             raise ValueError("periods below 3 have no certified form")
-        nu = periodic_orbit_measure(data.shift, data.phi, k)
+        nu = family.measure(k)
         nu_f = nu.expectation(f)
         identity_lhs, identity_rhs = orbit_entropy_identity(nu, data.phi)
         lhs = abs(m_f - nu_f)

@@ -307,7 +307,9 @@ def partition_sum(
     except OverflowError:
         total = math.inf
     b = transfer_matrix(shift, phi)
-    mat = float(np.linalg.matrix_power(b, n)[a, a])
+    # an entry past the float range is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = float(np.linalg.matrix_power(b, n)[a, a])
     if not (math.isfinite(total) and math.isfinite(mat)):
         raise ValueError(
             f"partition sum at n={n} overflows a float: enumeration {total}, "
@@ -324,7 +326,8 @@ def gurevich_estimate(
 ):
     """Pressure estimates (1/n) log (B^n)_aa with their residuals from log lam.
 
-    Rows where the diagonal entry vanishes (short return times) are skipped.
+    Rows where the diagonal entry vanishes (short return times) are skipped;
+    a diagonal entry past the float range raises ValueError naming its n.
     """
     if phi.depth > 2:
         raise ValueError("needs a potential of range at most 2")
@@ -334,8 +337,15 @@ def gurevich_estimate(
     rows = []
     power = np.eye(shift.n)
     for n in range(1, n_max + 1):
-        power = power @ b
+        # entries past the float range become inf or nan quietly; only the
+        # diagonal entry read below is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = power @ b
         z = float(power[a, a])
+        if not math.isfinite(z):
+            raise ValueError(
+                f"partition sum at n={n} overflows a float: (B^{n})_aa = {z}"
+            )
         if z <= 0.0:
             continue
         value = math.log(z) / n

@@ -4,6 +4,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from thermoshift import approx
 from thermoshift.approx import (
     AMBIENT_A,
     combined_orbit_harness,
@@ -12,15 +13,21 @@ from thermoshift.approx import (
     orbit_entropy_identity,
     periodic_orbit_harness,
     periodic_orbit_measure,
+    periodic_orbit_measures,
     stability_bound,
     truncate,
     truncation_harness,
     zeta_model,
 )
 from thermoshift.potential import LocallyConstantFunction, add, random_function
-from thermoshift.shift import build_sft, enumerate_periodic, is_topologically_mixing
+from thermoshift.shift import (
+    build_sft,
+    enumerate_periodic,
+    enumerate_words,
+    is_topologically_mixing,
+)
 from thermoshift.systems import BUILTIN_SYSTEMS, builtin_shift, builtin_system
-from thermoshift.transfer import perron_data, transfer_matrix
+from thermoshift.transfer import edge_values, perron_data, transfer_matrix
 
 
 # --- countable models -------------------------------------------------------
@@ -453,6 +460,198 @@ def test_combined_orbit_harness_adds_ambient_gap():
         assert rep.terms["combined_rhs"] == pytest.approx(expected, abs=1e-12)
         if not rep.params["pre_asymptotic"]:
             assert rep.terms["combined_lhs"] <= rep.terms["combined_rhs"] + 1e-12
+
+
+# --- orbit families ---------------------------------------------------------
+# A family shares B, its eigenvalues, the tilted lift and the word lists over
+# its periods.  Its measures are held with == to a fresh one-period measure
+# and to the per-period construction it replaced, inlined here as an oracle.
+
+
+class OracleOrbitMeasure(NamedTuple):
+    base: object
+    phi: object
+    k: int
+    scaled: np.ndarray
+    power: np.ndarray
+    log_normalizer: float
+
+    def expectation(self, f):
+        r, k = f.depth, self.k
+        m = min(r, k)
+        closing = np.linalg.matrix_power(self.scaled, k - m + 1)
+        total = 0.0
+        for u in enumerate_words(self.base, m):
+            weight = closing[u[-1], u[0]]
+            for a, b in zip(u, u[1:]):
+                weight *= self.scaled[a, b]
+            if weight > 0.0:
+                total += weight * f.table[tuple(u[i % m] for i in range(r))]
+        return float(total / np.trace(self.power))
+
+    def block_entropy(self):
+        n = self.base.n
+        tilted = self.scaled * edge_values(self.base, self.phi)
+        lift = np.block([[self.scaled, tilted], [np.zeros((n, n)), self.scaled]])
+        corner = np.linalg.matrix_power(lift, self.k)[:n, n:]
+        return float(self.log_normalizer - np.trace(corner) / np.trace(self.power))
+
+    def marginal_entropy(self):
+        mass = np.diag(self.power) / np.trace(self.power)
+        live = mass[mass > 0.0]
+        return float(-np.sum(live * np.log(live)))
+
+
+def orbit_measure_oracle(shift, phi, k):
+    if phi.depth > 2:
+        raise ValueError("needs a potential of range at most 2")
+    if k < 1:
+        raise ValueError("period must be at least 1")
+    b = transfer_matrix(shift, phi)
+    eigenvalues = np.linalg.eigvals(b)
+    rho = float(np.max(np.abs(eigenvalues)))
+    scaled = b / rho if rho > 0.0 else b
+    power = np.linalg.matrix_power(scaled, k)
+    trace = float(np.trace(power))
+    if not (math.isfinite(rho) and math.isfinite(trace)):
+        raise ValueError(
+            f"period-{k} weights are not finite: spectral radius {rho}, "
+            f"scaled trace {trace}"
+        )
+    if trace <= 0.0:
+        raise ValueError(f"no periodic points of period {k}")
+    spectral = float(np.sum((eigenvalues / rho) ** k).real)
+    if abs(trace - spectral) > 1e-10 * max(1.0, trace):
+        raise RuntimeError(
+            f"normalizer rho^k * {trace} disagrees with the eigenvalue sum "
+            f"rho^k * {spectral} at k={k}"
+        )
+    log_normalizer = k * math.log(rho) + math.log(trace)
+    return OracleOrbitMeasure(shift, phi, k, scaled, power, log_normalizer)
+
+
+def orbit_readings(nu, observables):
+    return (
+        nu.power.tobytes(),
+        nu.log_normalizer,
+        [nu.expectation(f) for f in observables],
+        nu.block_entropy(),
+        nu.marginal_entropy(),
+    )
+
+
+FAMILY_PERIODS = (*range(1, 21), 2000)
+
+
+def family_systems():
+    for name in sorted(BUILTIN_SYSTEMS):
+        yield name, *builtin_system(name)
+    for model in (geometric_model(0.5), zeta_model(2.0)):
+        for n in range(2, 7):
+            sub = truncate(model, n)
+            yield f"{model.family}-{n}", sub.shift, sub.phi
+
+
+@pytest.mark.parametrize("name, shift, phi", list(family_systems()))
+def test_family_matches_fresh_measures_and_oracle(name, shift, phi):
+    rng = np.random.default_rng(53)
+    # ranges 1, 2 and 3; periods 1 and 2 read the range-3 one cyclically
+    observables = [phi, *(random_function(shift, r, rng) for r in (1, 2, 3))]
+    family = list(periodic_orbit_measures(shift, phi, FAMILY_PERIODS))
+    assert [nu.k for nu in family] == list(FAMILY_PERIODS)
+    for nu in family:
+        want = orbit_readings(orbit_measure_oracle(shift, phi, nu.k), observables)
+        assert orbit_readings(nu, observables) == want, (name, nu.k)
+        fresh = periodic_orbit_measure(shift, phi, nu.k)
+        assert orbit_readings(fresh, observables) == want, (name, nu.k)
+
+
+def test_family_harness_matches_oracle():
+    # the harness reads its measures from one family: its rows equal those
+    # built from the per-period construction
+    shift, phi = builtin_system("golden-range2")
+    data = perron_data(shift, phi)
+    f = random_function(shift, 3, np.random.default_rng(59))
+    for rep in periodic_orbit_harness(data, f, range(3, 21)):
+        nu = orbit_measure_oracle(shift, phi, rep.params["k"])
+        lhs = nu.block_entropy() / nu.k + nu.expectation(phi)
+        assert rep.terms["nu_f"] == nu.expectation(f)
+        assert rep.terms["identity_dev"] == abs(lhs - nu.log_normalizer / nu.k)
+
+
+def refusal(fn, *args):
+    with pytest.raises((ValueError, RuntimeError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def family_refusal(shift, phi, periods):
+    """(the periods yielded, then the refusal) of one family."""
+    done = []
+    with pytest.raises((ValueError, RuntimeError)) as info:
+        for nu in periodic_orbit_measures(shift, phi, periods):
+            done.append(nu.k)
+    return done, (type(info.value), str(info.value))
+
+
+def test_family_refusals_match_one_period_measures():
+    # cycles of lengths 3 and 4 only: no period-5 points
+    gap = build_sft("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "a")])
+    assert is_topologically_mixing(gap)
+    gap_phi = random_function(gap, 2, np.random.default_rng(61))
+    full = builtin_shift("full-2")
+    huge = LocallyConstantFunction.constant(full, 709.7)
+    long_range = random_function(full, 3, np.random.default_rng(67))
+    zero = LocallyConstantFunction.zero(full)
+    cases = [
+        (gap, gap_phi, [3, 4, 5, 6], [3, 4], 5),
+        (full, huge, [3, 4], [], 3),
+        (full, long_range, [3, 4], [], 3),
+        (full, zero, [3, 0, 4], [3], 0),
+        (full, zero, [2, -1], [2], -1),
+    ]
+    for shift, phi, periods, done, bad in cases:
+        want = refusal(orbit_measure_oracle, shift, phi, bad)
+        assert refusal(periodic_orbit_measure, shift, phi, bad) == want
+        assert family_refusal(shift, phi, periods) == (done, want)
+
+
+def test_family_checks_the_trace_at_every_period(monkeypatch):
+    # eigenvalues 2, 0.02, -0.02 for B = [[1, 1], [1, 1]] (really 2, 0):
+    # the sum matches the trace at k = 1 and misses it by 2e-4 at k = 2
+    shift, phi = builtin_system("full2-zero")
+    monkeypatch.setattr(np.linalg, "eigvals", lambda b: np.array([2.0, 0.02, -0.02]))
+    want = refusal(orbit_measure_oracle, shift, phi, 2)
+    assert want[0] is RuntimeError and want[1].endswith("at k=2")
+    assert family_refusal(shift, phi, range(1, 5)) == ([1], want)
+
+
+def test_harness_refuses_short_periods_before_solving(monkeypatch):
+    shift, phi = builtin_system("golden-range2")
+    data = perron_data(shift, phi)
+    f = LocallyConstantFunction.indicator(shift, (0,))
+    solves = []
+    counted = approx.transfer_matrix
+
+    def counting(*args):
+        solves.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(approx, "transfer_matrix", counting)
+    with pytest.raises(ValueError, match="periods below 3 have no certified form"):
+        periodic_orbit_harness(data, f, [2, 3])
+    assert solves == []
+    with pytest.raises(ValueError, match="periods below 3 have no certified form"):
+        periodic_orbit_harness(data, f, [3, 4, 5, 2])
+    # one solve for the three periods reached before the refusal
+    assert len(solves) == 1
+    assert len(periodic_orbit_harness(data, f, range(3, 13))) == 10
+    assert len(solves) == 2
+    # the family is lazy: nothing is solved before its first period
+    family = periodic_orbit_measures(shift, phi, range(1, 4))
+    assert len(solves) == 2
+    assert [nu.k for nu in family] == [1, 2, 3]
+    assert len(solves) == 3
 
 
 # --- stability --------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -420,6 +421,67 @@ def test_overflowing_partition_sum_exits_2(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "error: partition sum at n=4 overflows a float" in capsys.readouterr().err
+
+
+def test_overflowing_partition_sum_exits_2_without_warnings(tmp_path, capsys):
+    # B's powers pass the float range: both routes form them quietly and
+    # refuse the first entry they read that is not finite
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(
+        "[shift]\nstates = a b c\nedges = ab ac ba\n"
+        '[potential]\nrange = 1\ndefault = 1\nvalue "a" = 700.0\nvalue "b" = -2.0\n'
+        "[experiment]\nkind = partition-sums\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "error: partition sum at n=4 overflows a float" in capsys.readouterr().err
+
+
+def test_gurevich_estimate_refuses_only_the_entries_it_reads():
+    cfg = parse_config(
+        "[shift]\nstates = a b c\nedges = ab ac ba\n"
+        '[potential]\nrange = 1\ndefault = 1\nvalue "a" = 700.0\nvalue "b" = -2.0\n'
+        "[experiment]\nkind = partition-sums\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # (B^3) has entries past the float range, but not on the diagonal
+        rows = transfer.gurevich_estimate(cfg.shift, cfg.phi, "a", 3)
+        assert [n for n, _, _ in rows] == [2]
+        with pytest.raises(ValueError, match=r"partition sum at n=4 overflows a float"):
+            transfer.gurevich_estimate(cfg.shift, cfg.phi, "a", 4)
+
+
+def test_flat_dirichlet_draws_what_dirichlet_draws():
+    for seed in range(300):
+        one = np.random.default_rng([seed, 6])
+        two = np.random.default_rng([seed, 6])
+        for _ in range(20):
+            dim = int(one.integers(2, 9))
+            assert dim == int(two.integers(2, 9))
+            want = one.dirichlet([1.0] * dim)
+            got = cli._flat_dirichlet(two, dim)
+            assert got.tolist() == want.tolist()
+        assert two.bit_generator.state == one.bit_generator.state
+
+
+def test_module_entry_point_runs_under_warnings_as_errors(tmp_path):
+    # python -m thermoshift goes through thermoshift/__main__.py, which runpy
+    # does not find already imported by the package
+    cfg = tmp_path / "smoke.cfg"
+    cfg.write_text("[shift]\nsystem = golden-range2\n\n[experiment]\nkind = pressure\n")
+    proc = subprocess.run(
+        [
+            sys.executable, "-W", "error::RuntimeWarning", "-m", "thermoshift",
+            "run", str(cfg), "--out", str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "result: PASS" in proc.stdout
+    assert (tmp_path / "out" / "pressure.csv").is_file()
 
 
 # The three cross-checks below are judged by the experiment alone: a
