@@ -113,7 +113,7 @@ def pressure_gap_bound(
             "a": a_eff,
             "c": data.c,
             "kappa": data.kappa,
-            "eigennorm": float(np.max(data.h) * np.max(1.0 / data.h)),
+            "eigennorm": data.eigennorm,
             "reduction_norms": steps,
         },
         terms={"pressure_gap": gap, "f_norm": norms.total, "m_f": m_f, "mu_f": mu_f},
@@ -173,7 +173,7 @@ def finitary_gap_bound(
             "b": b_eff,
             "c": data.c,
             "kappa": data.kappa,
-            "eigennorm": float(np.max(data.h) * np.max(1.0 / data.h)),
+            "eigennorm": data.eigennorm,
             "reduction_norms": steps,
         },
         terms={
@@ -233,7 +233,7 @@ def block_entropy_gap_bound(
             "b": b_eff,
             "c": data.c,
             "kappa": data.kappa,
-            "eigennorm": float(np.max(data.h) * np.max(1.0 / data.h)),
+            "eigennorm": data.eigennorm,
             "reduction_norms": steps,
         },
         terms={

@@ -41,6 +41,7 @@ from .bounds import (
     pressure_gap_bound,
 )
 from .measures import (
+    _flat_dirichlet,
     block_entropy,
     conditional_kl_integral,
     entropy_rate,
@@ -400,12 +401,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # about half the cells, np.float64 too
+        return "%.17g" % value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float):
-        return "%.17g" % value
     return str(value)
 
 
@@ -658,17 +659,6 @@ def _build_corollary3(cfg: ExperimentConfig):
         for trial, rep in enumerate(reports)
     ]
     return reports, rows
-
-
-def _flat_dirichlet(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """rng.dirichlet([1.0] * dim), bit for bit and leaving the stream where
-    it does: the same unit gammas, scaled by the reciprocal of their sum
-    taken in order, without dirichlet's per-call set-up."""
-    g = rng.standard_gamma(1.0, dim)
-    total = 0.0
-    for x in g.tolist():
-        total += x
-    return g * (1.0 / total)
 
 
 def _build_identities(cfg: ExperimentConfig):

@@ -35,7 +35,8 @@ class MarkovMeasure:
     The measure is immutable; ``word_probability`` reads plain-Python copies
     of ``kernel`` (``_rows``) and ``initial`` (``_pi``) built here once.  The
     derived quantities below (reversed kernel, entropies, block-entropy
-    iterates) are computed on first use and kept on the instance.
+    iterates, the integral of each function) are computed on first use and
+    kept on the instance.
     """
 
     base: TransitionMatrix
@@ -51,21 +52,22 @@ class MarkovMeasure:
         if p.shape != (n, n) or pi.shape != (n,):
             raise ValueError("kernel or stationary vector has the wrong shape")
         # every comparison below is False on nan, so nan would pass them all
+        lows = []
         for name, v in (("kernel", p), ("initial", pi)):
-            if not np.isfinite(v).all():
+            low = _finite_minimum(v)
+            if low is None:
                 raise ValueError(f"{name} has non-finite entries")
-        if (p < 0.0).any() or (pi < 0.0).any():
+            lows.append(low)
+        if min(lows) < 0.0:
             raise ValueError("negative probabilities")
-        if ((p > 0.0) & (self.base.matrix == 0)).any():
+        if ((p > 0.0) > self.base.matrix).any():
             raise ValueError("kernel puts mass on a forbidden transition")
-        rows = p.sum(axis=1)
-        live = pi > 0.0
-        if (np.abs(rows[live] - 1.0) > STATIONARY_TOL).any():
+        masses = pi.tolist()
+        rows = list(zip(masses, p.sum(axis=1).tolist()))
+        if any(m > 0.0 and abs(r - 1.0) > STATIONARY_TOL for m, r in rows):
             raise ValueError("kernel rows on the support do not sum to 1")
         # rows at states of measure zero may be stochastic or identically zero
-        dead = ~live
-        bad = dead & (np.abs(rows - 1.0) > STATIONARY_TOL) & (rows != 0.0)
-        if bad.any():
+        if any(m == 0.0 and abs(r - 1.0) > STATIONARY_TOL and r != 0.0 for m, r in rows):
             raise ValueError("off-support kernel rows must be stochastic or zero")
         if abs(pi.sum() - 1.0) > 1e-10:
             raise ValueError("stationary vector does not sum to 1")
@@ -76,7 +78,7 @@ class MarkovMeasure:
         object.__setattr__(self, "kernel", p)
         object.__setattr__(self, "initial", pi)
         object.__setattr__(self, "_rows", tuple(map(tuple, p.tolist())))
-        object.__setattr__(self, "_pi", tuple(pi.tolist()))
+        object.__setattr__(self, "_pi", tuple(masses))
 
     def __reduce__(self):
         # rebuild through __post_init__, so the copy's arrays are validated
@@ -124,6 +126,19 @@ class MarkovMeasure:
     def _block_entropies(self) -> "_BlockEntropies":
         return _BlockEntropies(self.initial, self.kernel)
 
+    @cached_property
+    def _integrals(self) -> dict:
+        """The integral of each function, keyed by the function; filled by
+        ``integrate``."""
+        return {}
+
+
+def _finite_minimum(v: np.ndarray):
+    """min(0, v), or None when v has a nan or an infinite entry: one
+    reduction each way, and both propagate nan."""
+    low = float(v.min(initial=0.0))
+    return low if math.isfinite(low) and math.isfinite(float(v.max(initial=0.0))) else None
+
 
 def _row_entropy(pi: np.ndarray, p: np.ndarray) -> float:
     """-sum_i pi_i sum_j p_ij log p_ij."""
@@ -160,10 +175,11 @@ class _BlockEntropies:
         return values[n - 1]
 
 
-def _recurrent_classes(adjacency: np.ndarray):
+def _recurrent_classes(adjacency: np.ndarray, components=None):
     """Strongly connected components with no outgoing edge, as sorted index
-    lists in the order of their smallest state."""
-    ncomp, comp = strong_components(adjacency)
+    lists in the order of their smallest state.  ``components`` is
+    ``strong_components(adjacency)``, when the caller already has it."""
+    ncomp, comp = strong_components(adjacency) if components is None else components
     heads, tails = np.nonzero(adjacency)
     head_comp = comp[heads]
     # components that some edge leaves
@@ -184,18 +200,22 @@ def make_markov_measure(shift: TransitionMatrix, kernel) -> MarkovMeasure:
     p = np.asarray(kernel, dtype=float)
     if p.shape != (shift.n, shift.n):
         raise ValueError(f"kernel must be {shift.n}x{shift.n}")
-    if not np.isfinite(p).all():
+    low = _finite_minimum(p)
+    if low is None:
         raise ValueError("kernel has non-finite entries")
-    if (p < 0.0).any():
+    if low < 0.0:
         raise ValueError("kernel has negative entries")
-    if ((p > 0.0) & (shift.matrix == 0)).any():
+    support = p > 0.0
+    if (support > shift.matrix).any():
         raise ValueError("kernel puts mass on a forbidden transition")
     rows = p.sum(axis=1)
-    if (np.abs(rows - 1.0) > KERNEL_ROW_TOL).any():
+    if any(abs(r - 1.0) > KERNEL_ROW_TOL for r in rows.tolist()):
         raise ValueError("kernel rows must sum to 1")
     p = p / rows[:, None]
 
-    classes = _recurrent_classes(p > 0.0)
+    # a kernel charging every edge has the shift's own components
+    graph = shift._components if (support == shift.matrix).all() else None
+    classes = _recurrent_classes(support, graph)
     if len(classes) != 1:
         names = [", ".join(shift.states[i] for i in cls) for cls in classes]
         raise ValueError(
@@ -250,12 +270,25 @@ def point_mass(shift: TransitionMatrix, state) -> MarkovMeasure:
     return MarkovMeasure(base=shift, kernel=p, initial=pi)
 
 
-def random_markov_measure(shift: TransitionMatrix, rng, alpha: float = 1.0) -> MarkovMeasure:
-    """Kernel with Dirichlet(alpha,...,alpha) rows over each state's successors."""
+def _flat_dirichlet(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """rng.dirichlet([1.0] * dim), bit for bit and leaving the stream where
+    it does: the same unit gammas, scaled by the reciprocal of their sum
+    taken in order, without dirichlet's per-call set-up."""
+    g = rng.standard_gamma(1.0, dim)
+    total = 0.0
+    for x in g.tolist():
+        total += x
+    return g * (1.0 / total)
+
+
+def random_markov_measure(shift: TransitionMatrix, rng) -> MarkovMeasure:
+    """Kernel whose row over the k successors of a state is drawn as
+    rng.dirichlet([1.0] * k) would draw it, rows in state order."""
     p = np.zeros((shift.n, shift.n))
-    for i in range(shift.n):
-        succ = shift.successors(i)
-        p[i, succ] = rng.dirichlet([alpha] * len(succ))
+    # a state without successors draws nothing, as dirichlet([]) does
+    rows = [_flat_dirichlet(rng, len(succ)) for succ in shift._succ if succ]
+    if rows:
+        p[shift.matrix != 0] = np.concatenate(rows)
     return make_markov_measure(shift, p)
 
 
@@ -265,7 +298,17 @@ def entropy_rate(mu: MarkovMeasure) -> float:
 
 
 def integrate(mu: MarkovMeasure, f: LocallyConstantFunction) -> float:
-    """Expectation of a finite-range function, as an exact cylinder sum."""
+    """Expectation of a finite-range function, as an exact cylinder sum.
+
+    The value is kept on the measure, so a second call with the same
+    function object reads it back."""
+    known = mu._integrals
+    if f not in known:
+        known[f] = _cylinder_sum(mu, f)
+    return known[f]
+
+
+def _cylinder_sum(mu: MarkovMeasure, f: LocallyConstantFunction) -> float:
     if not f.base.same_shift(mu.base):
         raise ValueError("function and measure live on different shifts")
     if f.depth == 1:

@@ -9,7 +9,8 @@ the Lipschitz seminorm of a range-r function is max_k var_k / theta**k over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +28,10 @@ class Norms(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class LocallyConstantFunction:
-    """A real function on the shift depending on the first ``depth`` symbols."""
+    """A real function on the shift depending on the first ``depth`` symbols.
+
+    The function is immutable; its norms are computed once and kept.
+    """
 
     base: TransitionMatrix
     depth: int
@@ -147,6 +151,10 @@ class LocallyConstantFunction:
         return 2.0 * sum(self.variation(k) for k in range(n, self.depth))
 
     def norms(self) -> Norms:
+        return self._norms
+
+    @cached_property
+    def _norms(self) -> Norms:
         sup = float(max(abs(v) for v in self.table.values()))
         lip = self.holder_constant()
         return Norms(sup=sup, lip=lip, total=sup + lip)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,8 @@ class TransitionMatrix:
     they had no outgoing or no incoming edge.  The shift is immutable; the
     per-word readers use plain-Python copies of ``matrix`` built here once:
     ``_rows[i][j]`` (a bool) and ``_succ[i]`` (the successors of i, sorted).
+    Its strong components, its mixing verdict and its word count per length
+    are computed on first use and kept on the instance.
     """
 
     states: tuple
@@ -50,7 +53,8 @@ class TransitionMatrix:
         m = np.array(self.matrix, dtype=np.int8)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(self.states):
             raise ValueError("matrix shape does not match the state count")
-        if not np.isin(m, (0, 1)).all():
+        # read as unsigned bytes, -1 is 255: one reduction refuses both sides
+        if np.max(m.view(np.uint8), initial=0) > 1:
             raise ValueError("transition matrix entries must be 0 or 1")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -89,6 +93,41 @@ class TransitionMatrix:
     def is_cycle(self, word) -> bool:
         """True when ``word`` reads admissibly with wrap-around."""
         return self.is_word(word) and self._rows[word[-1]][word[0]]
+
+    @cached_property
+    def _components(self) -> tuple:
+        """``strong_components(matrix)``, its labels read-only."""
+        count, labels = strong_components(self.matrix)
+        labels.setflags(write=False)
+        return count, labels
+
+    @cached_property
+    def _mixing(self) -> bool:
+        """Irreducible plus aperiodic."""
+        if self._components[0] != 1:
+            return False
+        # gcd of cycle lengths via BFS levels: for every edge (u, v) the value
+        # d[u] + 1 - d[v] is a multiple of the period.
+        succ = self._succ
+        dist = [-1] * self.n
+        dist[0] = 0
+        queue = [0]
+        g = 0
+        while queue:
+            u = queue.pop()
+            for v in succ[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        for u in range(self.n):
+            for v in succ[u]:
+                g = math.gcd(g, dist[u] + 1 - dist[v])
+        return g == 1
+
+    @cached_property
+    def _word_counts(self) -> dict:
+        """Number of admissible words per length, filled by ``_count_words``."""
+        return {}
 
     def same_shift(self, other: "TransitionMatrix") -> bool:
         # equal labels give equal shapes, so the row tables say what
@@ -200,33 +239,20 @@ def _adjacency_lists(n: int, heads: np.ndarray, tails: np.ndarray) -> list:
 
 
 def is_topologically_mixing(shift: TransitionMatrix) -> bool:
-    """Irreducible plus aperiodic; equivalently some power is entrywise positive."""
-    if strong_components(shift.matrix)[0] != 1:
-        return False
-    # gcd of cycle lengths via BFS levels: for every edge (u, v) the value
-    # d[u] + 1 - d[v] is a multiple of the period.
-    succ = shift._succ
-    dist = [-1] * shift.n
-    dist[0] = 0
-    queue = [0]
-    g = 0
-    while queue:
-        u = queue.pop()
-        for v in succ[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    for u in range(shift.n):
-        for v in succ[u]:
-            g = math.gcd(g, dist[u] + 1 - dist[v])
-    return g == 1
+    """Irreducible plus aperiodic; equivalently some power is entrywise positive.
+    The verdict is kept on the shift."""
+    return shift._mixing
 
 
 def _count_words(shift: TransitionMatrix, n: int) -> float:
-    if n == 1:
-        return float(shift.n)
-    p = np.linalg.matrix_power(shift.matrix.astype(np.float64), n - 1)
-    return float(p.sum())
+    counts = shift._word_counts
+    if n not in counts:
+        if n == 1:
+            counts[n] = float(shift.n)
+        else:
+            p = np.linalg.matrix_power(shift.matrix.astype(np.float64), n - 1)
+            counts[n] = float(p.sum())
+    return counts[n]
 
 
 def check_word_count(shift: TransitionMatrix, n: int, cap: int = WORD_CAP):

@@ -117,8 +117,9 @@ class PerronData:
     """Eigendata of a Markovian potential together with its Gibbs measure.
 
     kappa is the spectral contraction rate |lambda_2|/lambda, c a certified
-    prefactor for the iterate norms, and a, b the constants entering the
-    pressure-gap and block-entropy inequalities.  When the potential had to be
+    prefactor for the iterate norms, eigennorm the eigenvector ratio
+    max(h) * max(1/h), and a, b the constants entering the pressure-gap and
+    block-entropy inequalities.  When the potential had to be
     recoded to range 2 first, `recoding` maps block states back to words.
     """
 
@@ -135,6 +136,7 @@ class PerronData:
     lambda2_mod: float
     kappa: float
     c: float
+    eigennorm: float
     a: float
     b: float
     recoding: Recoding | None = None
@@ -192,6 +194,13 @@ def perron_data(
         raise NotMixingError("transfer operator theory here needs a mixing shift")
     b = transfer_matrix(shift, phi)
     lam, lambda2, u, v = _spectrum(b)
+    # every edge weight is finite, but their root may not be; p below would
+    # divide by it
+    if not math.isfinite(lam):
+        raise EigensolverError(
+            f"dominant root {lam} overflows a float: the pressure is past "
+            "the float range"
+        )
     # scale so the geometric mean of h is 1, then sum(h * nu) = 1; every
     # published quantity is invariant under the joint rescaling anyway
     h = u / math.exp(float(np.mean(np.log(u))))
@@ -224,7 +233,8 @@ def perron_data(
             f"gap prefactor c = {c} is not finite (kappa = {kappa!r}): "
             "the iterate norms cannot be certified"
         )
-    a = math.sqrt(2.0) * c / (1.0 - kappa) * float(np.max(h) * np.max(1.0 / h))
+    eigennorm = float(np.max(h) * np.max(1.0 / h))
+    a = math.sqrt(2.0) * c / (1.0 - kappa) * eigennorm
     return PerronData(
         shift=shift,
         phi=phi,
@@ -239,6 +249,7 @@ def perron_data(
         lambda2_mod=lambda2,
         kappa=kappa,
         c=c,
+        eigennorm=eigennorm,
         a=a,
         b=(1.0 / math.sqrt(2.0) + math.sqrt(2.0)) * a,
         recoding=recoding,

@@ -466,6 +466,23 @@ def test_flat_dirichlet_draws_what_dirichlet_draws():
         assert two.bit_generator.state == one.bit_generator.state
 
 
+@pytest.mark.parametrize("kind", ["pressure", "gibbs", "corollary2"])
+def test_overflowing_root_exits_2_without_warnings(tmp_path, capsys, kind):
+    # every edge weight exp(709.7) is finite, but lambda = 2 exp(709.7) is not:
+    # refused before the Gibbs kernel is divided by it
+    cfg = tmp_path / "root.cfg"
+    cfg.write_text(
+        "[shift]\nbuiltin = full-2\n\n[potential]\nrange = 1\ndefault = 709.7\n\n"
+        f"[experiment]\nkind = {kind}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: dominant root inf overflows a float: the pressure is past the float range\n"
+    )
+
+
 def test_module_entry_point_runs_under_warnings_as_errors(tmp_path):
     # python -m thermoshift goes through thermoshift/__main__.py, which runpy
     # does not find already imported by the package

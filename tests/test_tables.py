@@ -6,7 +6,10 @@ routes of ``partition_sum`` and ``gibbs_certificate`` against the per-word
 loops, the per-measure entropy caches against a fresh dynamic program, and
 the safety of those caches.  The list-validated ``kl_divergence``, the
 table-read ``same_shift`` and the one-pass ``_recurrent_classes`` are held
-to the numpy versions they replaced the same way."""
+to the numpy versions they replaced the same way, and so are the gamma-row
+``random_markov_measure``, the min/max validation of measures, the per-shift
+components, mixing verdicts and word counts, the per-measure integrals and
+the per-function norms."""
 
 import math
 import pickle
@@ -16,6 +19,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from thermoshift import cli
+from thermoshift import measures as measures_module
+from thermoshift import shift as shift_module
 from thermoshift.bounds import reduction_step_norms
 from thermoshift.measures import (
     MarkovMeasure,
@@ -24,14 +30,18 @@ from thermoshift.measures import (
     block_entropy,
     conditional_entropy,
     entropy_rate,
+    integrate,
     kl_divergence,
     make_markov_measure,
+    random_markov_measure,
     reverse_kernel,
 )
-from thermoshift.potential import random_function
+from thermoshift.potential import LocallyConstantFunction, random_function
 from thermoshift.shift import (
     EmptyShiftError,
+    EnumerationLimitError,
     TransitionMatrix,
+    _count_words,
     build_sft,
     enumerate_periodic,
     enumerate_words,
@@ -666,3 +676,380 @@ def test_recurrent_classes_match_submatrix_oracle():
         p, classes = _kernel_with_classes(rng)
         adjacency = p > 0.0
         assert _recurrent_classes(adjacency) == recurrent_classes_oracle(adjacency) == classes
+
+
+# -- per-shift, per-measure and per-function caches ------------------------------
+#
+# The code before the caches, inlined: Dirichlet rows drawn one fancy
+# assignment at a time, validation with separate isfinite and sign passes,
+# strong components searched on every kernel, and np.isin for 0/1 entries.
+
+
+def random_markov_measure_oracle(shift, rng):
+    p = np.zeros((shift.n, shift.n))
+    for i in range(shift.n):
+        succ = shift.successors(i)
+        p[i, succ] = rng.dirichlet([1.0] * len(succ))
+    return make_markov_measure_oracle(shift, p)
+
+
+def make_markov_measure_oracle(shift, kernel):
+    p = np.asarray(kernel, dtype=float)
+    if p.shape != (shift.n, shift.n):
+        raise ValueError(f"kernel must be {shift.n}x{shift.n}")
+    if not np.isfinite(p).all():
+        raise ValueError("kernel has non-finite entries")
+    if (p < 0.0).any():
+        raise ValueError("kernel has negative entries")
+    if ((p > 0.0) & (shift.matrix == 0)).any():
+        raise ValueError("kernel puts mass on a forbidden transition")
+    rows = p.sum(axis=1)
+    if (np.abs(rows - 1.0) > 1e-9).any():
+        raise ValueError("kernel rows must sum to 1")
+    p = p / rows[:, None]
+    classes = recurrent_classes_oracle(p > 0.0)
+    if len(classes) != 1:
+        names = [", ".join(shift.states[i] for i in cls) for cls in classes]
+        raise ValueError(
+            "kernel has %d recurrent classes ({%s}); stationary vector is ambiguous"
+            % (len(classes), "}, {".join(names))
+        )
+    members = classes[0]
+    sub = p[np.ix_(members, members)]
+    k = len(members)
+    lhs = (sub - np.eye(k)).T
+    lhs[-1, :] = 1.0
+    rhs = np.zeros(k)
+    rhs[-1] = 1.0
+    sol = np.linalg.solve(lhs, rhs)
+    sol = np.maximum(sol, 0.0)
+    sol /= sol.sum()
+    pi = np.zeros(shift.n)
+    pi[members] = sol
+    markov_measure_checks_oracle(shift, p, pi)
+    return p, pi
+
+
+def markov_measure_checks_oracle(shift, kernel, initial):
+    n = shift.n
+    p = np.array(kernel, dtype=float)
+    pi = np.array(initial, dtype=float)
+    if p.shape != (n, n) or pi.shape != (n,):
+        raise ValueError("kernel or stationary vector has the wrong shape")
+    for name, v in (("kernel", p), ("initial", pi)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} has non-finite entries")
+    if (p < 0.0).any() or (pi < 0.0).any():
+        raise ValueError("negative probabilities")
+    if ((p > 0.0) & (shift.matrix == 0)).any():
+        raise ValueError("kernel puts mass on a forbidden transition")
+    rows = p.sum(axis=1)
+    live = pi > 0.0
+    if (np.abs(rows[live] - 1.0) > 1e-12).any():
+        raise ValueError("kernel rows on the support do not sum to 1")
+    bad = ~live & (np.abs(rows - 1.0) > 1e-12) & (rows != 0.0)
+    if bad.any():
+        raise ValueError("off-support kernel rows must be stochastic or zero")
+    if abs(pi.sum() - 1.0) > 1e-10:
+        raise ValueError("stationary vector does not sum to 1")
+    if np.abs(pi @ p - pi).max() > 1e-10:
+        raise ValueError("vector is not stationary for the kernel")
+
+
+def markov_measure_oracle(shift, kernel, initial):
+    markov_measure_checks_oracle(shift, kernel, initial)
+    return kernel, initial
+
+
+def transition_matrix_check_oracle(states, matrix):
+    m = np.array(matrix, dtype=np.int8)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(states):
+        raise ValueError("matrix shape does not match the state count")
+    if not np.isin(m, (0, 1)).all():
+        raise ValueError("transition matrix entries must be 0 or 1")
+    return m.tolist()
+
+
+def integrate_oracle(mu, f):
+    if f.depth == 1:
+        return float(sum(mu.initial[i] * f.table[(i,)] for i in range(mu.base.n)))
+    total = 0.0
+    for w in enumerate_words(mu.base, f.depth):
+        pw = mu.word_probability(w)
+        if pw > 0.0:
+            total += pw * f.table[w]
+    return float(total)
+
+
+def norms_oracle(f):
+    sup = float(max(abs(v) for v in f.table.values()))
+    return sup, f.holder_constant()
+
+
+def fmt_oracle(value):
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return "%.17g" % value
+    return str(value)
+
+
+BUILTINS = ("full2-zero", "full2-bernoulli", "golden-zero", "golden-range2", "tribonacci-zero")
+
+
+def _random_shift(rng):
+    """build_sft on random edges over 2-6 states; None when nothing survives."""
+    n = int(rng.integers(2, 7))
+    states = "abcdef"[:n]
+    edges = [(a, b) for a in states for b in states if rng.random() < 0.45]
+    try:
+        return build_sft(states, edges)
+    except EmptyShiftError:
+        return None
+
+
+def _measure_outcome(fn, *args):
+    """The kernel and stationary bytes a construction gives, or its refusal."""
+    try:
+        got = fn(*args)
+    except ValueError as exc:
+        return "raises", str(exc)
+    p, pi = (got.kernel, got.initial) if isinstance(got, MarkovMeasure) else got
+    return "value", p.tobytes(), pi.tobytes()
+
+
+def test_random_markov_measure_draws_the_dirichlet_rows_bit_for_bit():
+    shifts = [builtin_system(name)[0] for name in BUILTINS]
+    rng = np.random.default_rng(41)
+    while len(shifts) < 5 + 200:
+        shift = _random_shift(rng)
+        if shift is not None:
+            shifts.append(shift)
+    for shift in shifts:
+        for seed in range(20):
+            one = np.random.default_rng([seed, 4])
+            two = np.random.default_rng([seed, 4])
+            want = _measure_outcome(random_markov_measure_oracle, shift, one)
+            assert _measure_outcome(random_markov_measure, shift, two) == want
+            assert two.bit_generator.state == one.bit_generator.state
+
+
+def test_random_markov_measure_takes_no_concentration():
+    shift = builtin_system("golden-zero")[0]
+    with pytest.raises(TypeError):
+        random_markov_measure(shift, np.random.default_rng(1), 0.05)
+
+
+def _spoiled_kernels(shift, rng):
+    """Kernels on the shift charging every edge or some, each spoiled by a
+    random subset of: nan, inf, a negative entry, mass off the edges, a
+    scaled row."""
+    n = shift.n
+    w = rng.uniform(0.1, 1.0, size=(n, n)) * shift.matrix
+    if rng.random() < 0.5:
+        w *= rng.random((n, n)) < 0.6  # a support that differs from the graph
+    rows = w.sum(axis=1, keepdims=True)
+    w = np.divide(w, rows, out=np.zeros_like(w), where=rows > 0.0)
+    for spoil in ("nan", "inf", "-inf", "negative", "forbidden", "scale"):
+        if rng.random() >= 0.2:
+            continue
+        i, j = int(rng.integers(n)), int(rng.integers(n))
+        if spoil == "nan":
+            w[i, j] = math.nan
+        elif spoil == "inf":
+            w[i, j] = math.inf
+        elif spoil == "-inf":
+            w[i, j] = -math.inf
+        elif spoil == "negative":
+            w[i, j] = -0.25
+        elif spoil == "forbidden" and not shift.matrix.all():
+            i, j = map(int, np.argwhere(shift.matrix == 0)[0])
+            w[i, j] = 0.5
+        elif spoil == "scale":
+            w[i] *= 1.5
+    return w
+
+
+def test_make_markov_measure_refuses_as_before_in_the_same_order():
+    rng = np.random.default_rng(43)
+    seen = set()
+    for _ in range(3000):
+        shift = _random_shift(rng)
+        if shift is None:
+            continue
+        p = _spoiled_kernels(shift, rng)
+        want = _measure_outcome(make_markov_measure_oracle, shift, p)
+        assert _measure_outcome(make_markov_measure, shift, p) == want
+        seen.add(want[1].split(" ")[1] if want[0] == "raises" else "value")
+    # every refusal came up, and so did answers
+    assert seen == {"has", "puts", "rows", "value"}
+
+
+def test_two_closed_classes_are_named_in_state_order():
+    shift = build_sft("abcd", ["ab", "ba", "bc", "cc", "dd", "da", "ad"])
+    kernel = np.zeros((4, 4))
+    for i, j in ((0, 1), (1, 0), (2, 2), (3, 3)):
+        kernel[i, j] = 1.0
+    want = _measure_outcome(make_markov_measure_oracle, shift, kernel)
+    assert want == ("raises", "kernel has 3 recurrent classes ({a, b}, {c}, {d}); "
+                    "stationary vector is ambiguous")
+    assert _measure_outcome(make_markov_measure, shift, kernel) == want
+    kernel[1] = (0.0, 0.0, 1.0, 0.0)  # b now leaks into c: {a, b} is transient
+    kernel[0] = (0.0, 1.0, 0.0, 0.0)
+    got = _measure_outcome(make_markov_measure, shift, kernel)
+    assert got == _measure_outcome(make_markov_measure_oracle, shift, kernel)
+    assert got[1] == "kernel has 2 recurrent classes ({c}, {d}); stationary vector is ambiguous"
+
+
+def test_markov_measure_refuses_as_before_in_the_same_order():
+    rng = np.random.default_rng(47)
+    shift = build_sft("abc", ["aa", "ab", "bc", "ca", "cb", "cc"])
+    bases = [
+        make_markov_measure(shift, [[0.5, 0.5, 0], [0, 0, 1], [0.5, 0.5, 0]]),
+        # b and c are transient: their rows may be stochastic or zero
+        make_markov_measure(shift, [[1, 0, 0], [0, 0, 1], [1, 0, 0]]),
+    ]
+    seen = set()
+    for trial in range(3000):
+        base = bases[trial % 2]
+        p, pi = base.kernel.copy(), base.initial.copy()
+        if trial % 4 == 1:
+            p[2] = 0.0  # a zero row off the support
+        if trial % 4 == 2:
+            pi = np.array([0.5, 0.25, 0.25])  # sums to 1, not stationary
+        for spoil in rng.integers(0, 7, size=int(rng.integers(0, 4))):
+            i, j = int(rng.integers(3)), int(rng.integers(3))
+            target = p if rng.random() < 0.5 else pi
+            index = (i, j) if target is p else (i,)
+            target[index] = (math.nan, math.inf, -0.1, 0.3, 0.0, 1e-11, -0.0)[spoil]
+        want = _measure_outcome(markov_measure_oracle, shift, p, pi)
+        assert _measure_outcome(MarkovMeasure, shift, p, pi) == want
+        seen.add(want[1] if want[0] == "raises" else "value")
+    assert len(seen) == 9  # every refusal but the shape, and answers
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1, 2], [1, 1]],
+        [[1, -1], [1, 1]],
+        np.array([[1, 256], [1, 1]]),  # wraps to 0 as an int8, as before
+        np.array([[1, 257], [258, 1]]),
+        np.array([[1, 255], [1, 1]]),  # wraps to -1
+        np.array([[True, False], [True, True]]),
+        np.zeros((0, 0)),
+        np.zeros((2, 3)),
+    ],
+)
+def test_transition_matrix_refuses_the_entries_it_refused(matrix):
+    states = ("a", "b")[: len(matrix)]
+    want = outcome(transition_matrix_check_oracle, states, matrix)
+    got = outcome(TransitionMatrix, states, matrix)
+    if got[0] == "value":
+        got = ("value", got[1].matrix.tolist())
+    assert got == want
+
+
+def test_shift_caches_match_fresh_computations():
+    rng = np.random.default_rng(53)
+    shifts = [builtin_system(name)[0] for name in BUILTINS]
+    shifts += [s for s in (_random_shift(rng) for _ in range(300)) if s is not None]
+    for shift in shifts:
+        count, labels = strong_components(shift.matrix)
+        assert shift._components[0] == count
+        assert shift._components[1].tolist() == labels.tolist()
+        assert shift._components is shift._components
+        verdict = is_topologically_mixing(shift)
+        assert verdict == is_mixing_oracle(shift) == is_topologically_mixing(shift)
+        for n in (3, 1, 5, 3):
+            power = np.linalg.matrix_power(shift.matrix.astype(np.float64), n - 1)
+            assert _count_words(shift, n) == float(power.sum())
+            assert len(enumerate_words(shift, n)) == _count_words(shift, n)
+    with pytest.raises(ValueError, match="read-only"):
+        shifts[0]._components[1][0] = 5
+
+
+def test_word_count_cap_is_still_checked_on_every_call():
+    shift = builtin_system("full2-zero")[0]
+    assert len(enumerate_words(shift, 4, cap=16)) == 16
+    for _ in range(2):
+        with pytest.raises(EnumerationLimitError, match="about 16 words of length 4, cap is 15"):
+            enumerate_words(shift, 4, cap=15)
+
+
+def test_cached_integrals_and_norms_match_fresh_calls():
+    rng = np.random.default_rng(59)
+    for name in BUILTINS:
+        shift, phi = builtin_system(name)
+        data = perron_data(shift, phi)
+        for trial in range(10):
+            mu = random_markov_measure(shift, rng)
+            f = random_function(shift, int(rng.integers(1, 4)), rng)
+            for measure in (mu, data.measure):
+                first = integrate(measure, f)
+                assert first == integrate_oracle(measure, f)
+                assert integrate(measure, f) == first
+                assert integrate(measure, phi) == integrate_oracle(measure, phi)
+            norms = f.norms()
+            assert (norms.sup, norms.lip) == norms_oracle(f)
+            assert norms.total == norms.sup + norms.lip
+            assert f.norms() is norms
+        assert data.eigennorm == float(np.max(data.h) * np.max(1.0 / data.h))
+    # equal tables are different functions, each with its own entry
+    g = LocallyConstantFunction(base=shift, depth=1, table={(i,): 1.0 for i in range(shift.n)})
+    h = LocallyConstantFunction(base=shift, depth=1, table=dict(g.table))
+    assert integrate(mu, g) == integrate(mu, h) == integrate_oracle(mu, g)
+    assert g in mu._integrals and h in mu._integrals
+
+
+def test_caches_are_read_back_without_recomputing(monkeypatch):
+    shift, phi = builtin_system("tribonacci-zero")
+    mu = random_markov_measure(shift, np.random.default_rng(5))
+    value, count, verdict = integrate(mu, phi), _count_words(shift, 6), is_topologically_mixing(shift)
+    norms = phi.norms()
+
+    def recomputed(*args):
+        raise AssertionError("a kept quantity was computed again")
+
+    monkeypatch.setattr(measures_module, "_cylinder_sum", recomputed)
+    monkeypatch.setattr(shift_module, "strong_components", recomputed)
+    monkeypatch.setattr(measures_module, "strong_components", recomputed)
+    monkeypatch.setattr(np.linalg, "matrix_power", recomputed)
+    monkeypatch.setattr(LocallyConstantFunction, "holder_constant", recomputed)
+    assert integrate(mu, phi) == value
+    assert _count_words(shift, 6) == count
+    assert is_topologically_mixing(shift) == verdict
+    assert phi.norms() is norms
+    # a kernel on every edge reads the shift's components
+    assert make_markov_measure(shift, mu.kernel).initial.tobytes() == mu.initial.tobytes()
+
+
+def test_integral_cache_refuses_a_function_on_another_shift():
+    mu = random_markov_measure(builtin_system("golden-zero")[0], np.random.default_rng(3))
+    f = LocallyConstantFunction.zero(builtin_system("full2-zero")[0])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="different shifts"):
+            integrate(mu, f)
+    assert mu._integrals == {}
+
+
+def test_pickled_measure_starts_with_an_empty_integral_cache():
+    shift, phi = builtin_system("tribonacci-zero")
+    mu = random_markov_measure(shift, np.random.default_rng(7))
+    value = integrate(mu, phi)
+    assert mu._integrals == {phi: value}
+    copy = pickle.loads(pickle.dumps(mu))
+    assert copy._integrals == {}
+    assert integrate(copy, phi) == value == integrate_oracle(copy, phi)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, np.True_, np.False_, 0, 7, -3, np.int64(5), np.int8(-2), 1.5, -0.0,
+     math.inf, -math.inf, math.nan, 1e-300, 0.1 + 0.2, np.float64(0.1 + 0.2),
+     np.float64(math.nan), np.float32(0.1), "golden", ""],
+)
+def test_fmt_writes_what_it_wrote(value):
+    assert cli._fmt(value) == fmt_oracle(value)
