@@ -11,12 +11,12 @@ sqrt(2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .bounds import BoundReport, _effective
+from .bounds import BoundReport, gibbs_report
 from .measures import entropy_rate, integrate
 from .potential import LocallyConstantFunction, sup_diff
 from .shift import TransitionMatrix, build_sft, enumerate_words
@@ -235,7 +235,9 @@ class PeriodicOrbitMeasure:
     The atom on a cyclically admissible k-word w has weight e^{S_k phi(w)}/Z
     with Z = tr B^k.  The atoms are never listed: every quantity is read off
     powers of the weighted matrix B, held as B / rho (rho its spectral
-    radius) so that long periods neither overflow nor underflow.
+    radius) so that long periods neither overflow nor underflow.  trace_dev
+    is the distance |tr (B/rho)^k - sum_i (lambda_i/rho)^k| / max(1, trace)
+    between the normalizer and the eigenvalue sum, for the caller to judge.
     """
 
     base: TransitionMatrix
@@ -245,6 +247,7 @@ class PeriodicOrbitMeasure:
     power: np.ndarray  # (B / rho)^k
     log_normalizer: float
     trace: float  # tr (B / rho)^k = Z / rho^k
+    trace_dev: float
     family: _OrbitFamily = field(repr=False)
 
     def expectation(self, f: LocallyConstantFunction) -> float:
@@ -294,7 +297,7 @@ class _OrbitFamily:
     B, its eigenvalues, rho and B / rho are computed once, at the first
     period that passes the argument checks; the tilted lift and the word
     lists of each length once, when a measure first reads them.  Every
-    period still forms its own (B / rho)^k and runs every check of
+    period still forms its own (B / rho)^k and makes every refusal of
     periodic_orbit_measure, in the same order and with the same messages.
     """
 
@@ -361,11 +364,6 @@ class _OrbitFamily:
         if trace <= 0.0:
             raise ValueError(f"no periodic points of period {k}")
         spectral = float(np.sum(self._ratios**k).real)
-        if abs(trace - spectral) > 1e-10 * max(1.0, trace):
-            raise RuntimeError(
-                f"normalizer rho^k * {trace} disagrees with the eigenvalue sum "
-                f"rho^k * {spectral} at k={k}"
-            )
         return PeriodicOrbitMeasure(
             base=self.base,
             phi=self.phi,
@@ -374,6 +372,7 @@ class _OrbitFamily:
             power=power,
             log_normalizer=k * self._log_rho + math.log(trace),
             trace=trace,
+            trace_dev=abs(trace - spectral) / max(1.0, trace),
             family=self,
         )
 
@@ -392,8 +391,8 @@ def periodic_orbit_measure(
 ) -> PeriodicOrbitMeasure:
     """Atoms on all cyclically admissible k-words with Gibbs-like weights.
 
-    The normalizer tr B^k is cross-checked against the eigenvalue sum
-    sum_i lambda_i^k to 1e-10 relative, both in units of rho^k.
+    The normalizer tr B^k and the eigenvalue sum sum_i lambda_i^k, both in
+    units of rho^k, are compared in the measure's trace_dev.
     """
     return _OrbitFamily(shift, phi).measure(k)
 
@@ -415,14 +414,10 @@ def periodic_orbit_harness(
     Periods where the trace has not yet settled onto the leading eigenvalue
     (the log-normalizer rate is farther from the pressure than the spectral
     term allows) are marked pre_asymptotic in params; their slack is reported
-    but carries no certificate.
+    but carries no certificate.  Each report carries its measure's trace_dev.
     """
-    norms = f.norms()
     reports = []
     theta = data.phi.theta
-    size = data.shift.n
-    delta = data.kappa
-    eff = _effective(data.b, data, f)[0]
     m_f = integrate(data.measure, f)
     family = _OrbitFamily(data.shift, data.phi)
     for k in k_range:
@@ -431,31 +426,31 @@ def periodic_orbit_harness(
         nu = family.measure(k)
         nu_f = nu.expectation(f)
         identity_lhs, identity_rhs = orbit_entropy_identity(nu, data.phi)
-        lhs = abs(m_f - nu_f)
-        spectral = 2.0 * size * delta**k / k
+        spectral = 2.0 * data.shift.n * data.kappa**k / k
         entropy_term = 2.0 / (k - 2) * nu.marginal_entropy()
-        rhs = eff * norms.total * (theta ** (k / 2.0) + math.sqrt(spectral + entropy_term))
         rate_gap = abs(data.pressure - nu.log_normalizer / k)
         # noise floor keeps exactly-settled systems (kappa = 0, trace equal to
         # lambda^k analytically) from being marked by float residue
         pre_asymptotic = rate_gap > spectral + 1e-12 * max(1.0, abs(data.pressure))
         reports.append(
-            BoundReport(
-                kind="periodic-orbit",
-                lhs=lhs,
-                rhs=rhs,
-                vacuous=False,
-                constants={"b": eff, "kappa": delta, "c": data.c},
+            gibbs_report(
+                "periodic-orbit",
+                data,
+                f,
+                "b",
+                abs(m_f - nu_f),
+                spectral + entropy_term,
+                theta ** (k / 2.0),
                 terms={
                     "spectral": spectral,
                     "entropy_term": entropy_term,
                     "rate_gap": rate_gap,
                     "theta_power": theta ** (k / 2.0),
                     "theta_power_derivation": theta ** ((k - 2) // 2),
-                    "f_norm": norms.total,
                     "nu_f": nu_f,
                     "m_f": m_f,
                     "identity_dev": abs(identity_lhs - identity_rhs),
+                    "trace_dev": nu.trace_dev,
                 },
                 params={"k": k, "pre_asymptotic": pre_asymptotic},
             )
@@ -467,30 +462,23 @@ def combined_orbit_harness(sub: FiniteSubsystem, values: dict, k_range) -> list:
     """Periodic-orbit reports on a truncation, with the ambient comparison
     folded in: the combined right side adds the truncation term."""
     f = sub.observable(values)
-    base_reports = periodic_orbit_harness(sub.data, f, k_range)
+    reports = periodic_orbit_harness(sub.data, f, k_range)
     m_f = sub.model.expectation(values)
     extra = AMBIENT_A * max(
         (abs(v) for v in values.values()), default=0.0
     ) * math.sqrt(sub.pressure_gap)
-    out = []
-    for rep in base_reports:
-        combined_lhs = abs(m_f - rep.terms["nu_f"])
-        terms = dict(rep.terms)
-        terms["combined_lhs"] = combined_lhs
-        terms["combined_rhs"] = rep.rhs + extra
-        terms["ambient_m_f"] = m_f
-        out.append(
-            BoundReport(
-                kind=rep.kind,
-                lhs=rep.lhs,
-                rhs=rep.rhs,
-                vacuous=rep.vacuous,
-                constants=rep.constants,
-                terms=terms,
-                params=rep.params,
-            )
+    return [
+        replace(
+            rep,
+            terms={
+                **rep.terms,
+                "combined_lhs": abs(m_f - rep.terms["nu_f"]),
+                "combined_rhs": rep.rhs + extra,
+                "ambient_m_f": m_f,
+            },
         )
-    return out
+        for rep in reports
+    ]
 
 
 def stability_bound(
@@ -518,30 +506,20 @@ def stability_bound(
     mu_psi = data_psi.measure
     mu_phi_f = integrate(data.measure, f)
     mu_psi_f = integrate(mu_psi, f)
-    lhs = abs(mu_phi_f - mu_psi_f)
     diff = sup_diff(phi0, psi0)
-    norms = f.norms()
-    eff, steps = _effective(data.a, data, f)
-    rhs = eff * norms.total * math.sqrt(diff)
-
     psi_phi0 = integrate(mu_psi, phi0)
     identity_lhs = -entropy_rate(mu_psi) - psi_phi0
     identity_rhs = integrate(mu_psi, psi0) - psi_phi0
-    return BoundReport(
-        kind="stability",
-        lhs=lhs,
-        rhs=rhs,
-        vacuous=False,
-        constants={
-            "a": eff,
-            "c": data.c,
-            "kappa": data.kappa,
-            "reduction_norms": steps,
-        },
+    return gibbs_report(
+        "stability",
+        data,
+        f,
+        "a",
+        abs(mu_phi_f - mu_psi_f),
+        diff,
         terms={
             "sup_diff": diff,
             "raw_sup_diff": sup_diff(phi, psi),
-            "f_norm": norms.total,
             "identity_lhs": identity_lhs,
             "identity_rhs": identity_rhs,
             "identity_dev": abs(identity_lhs - identity_rhs),
@@ -549,5 +527,4 @@ def stability_bound(
             "mu_phi_f": mu_phi_f,
             "mu_psi_f": mu_psi_f,
         },
-        params={},
     )

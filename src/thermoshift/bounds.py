@@ -1,8 +1,9 @@
 """Certified inequality checks between a Gibbs measure and a Markov measure.
 
-Each check evaluates its left side exactly (finite cylinder sums), assembles
-the right side from the PerronData constants, and returns a BoundReport whose
-slack must be nonnegative unless the report is flagged vacuous.  Radicands
+Each check evaluates its left side exactly (finite cylinder sums) and hands
+it to gibbs_report, which assembles the right side from the PerronData
+constants into a BoundReport whose slack must be nonnegative unless the
+report is flagged vacuous.  Radicands
 are asserted nonnegative up to a 1e-10 float allowance before clipping;
 anything worse aborts, because it indicates a bug rather than data.
 """
@@ -84,12 +85,45 @@ def reduction_step_norms(data: PerronData, depth: int):
     return [known[k] for k in range(depth, 1, -1)]
 
 
-def _effective(constant: float, data: PerronData, f: LocallyConstantFunction):
-    norms = reduction_step_norms(data, f.depth) if f.depth > 1 else []
-    eff = constant
-    for s in norms:
+def gibbs_report(
+    kind: str,
+    data: PerronData,
+    f: LocallyConstantFunction,
+    name: str,
+    lhs: float,
+    radicand: float,
+    power: float = 0.0,
+    vacuous: bool = False,
+    *,
+    terms: dict,
+    params: dict | None = None,
+) -> BoundReport:
+    """The report of |m(f) - nu(f)| = lhs against C * ||f|| * (power +
+    sqrt(radicand)), C being data.a or data.b (``name``) times the norms of the
+    steps reducing f to range 1.  The right side is inf when vacuous, and the
+    radicand is then not read.  Every such report carries the same constants:
+    ``name``, c, kappa, eigennorm and reduction_norms."""
+    steps = reduction_step_norms(data, f.depth) if f.depth > 1 else []
+    eff = getattr(data, name)
+    for s in steps:
         eff *= s
-    return eff, tuple(norms)
+    f_norm = f.norms().total
+    rhs = math.inf if vacuous else eff * f_norm * (power + math.sqrt(radicand))
+    return BoundReport(
+        kind=kind,
+        lhs=lhs,
+        rhs=rhs,
+        vacuous=vacuous,
+        constants={
+            name: eff,
+            "c": data.c,
+            "kappa": data.kappa,
+            "eigennorm": data.eigennorm,
+            "reduction_norms": tuple(steps),
+        },
+        terms={**terms, "f_norm": f_norm},
+        params=params or {},
+    )
 
 
 def pressure_gap_bound(
@@ -97,27 +131,18 @@ def pressure_gap_bound(
 ) -> BoundReport:
     """|m(f) - mu(f)| against a * ||f|| * sqrt(pressure gap)."""
     _check_bases(data, mu, f)
-    norms = f.norms()
     m_f = integrate(data.measure, f)
     mu_f = integrate(mu, f)
     gap = data.pressure - (integrate(mu, data.phi) + entropy_rate(mu))
     gap = _clip(gap, "pressure gap")
-    a_eff, steps = _effective(data.a, data, f)
-    rhs = a_eff * norms.total * math.sqrt(gap)
-    return BoundReport(
-        kind="pressure-gap",
-        lhs=abs(m_f - mu_f),
-        rhs=rhs,
-        vacuous=False,
-        constants={
-            "a": a_eff,
-            "c": data.c,
-            "kappa": data.kappa,
-            "eigennorm": data.eigennorm,
-            "reduction_norms": steps,
-        },
-        terms={"pressure_gap": gap, "f_norm": norms.total, "m_f": m_f, "mu_f": mu_f},
-        params={},
+    return gibbs_report(
+        "pressure-gap",
+        data,
+        f,
+        "a",
+        abs(m_f - mu_f),
+        gap,
+        terms={"pressure_gap": gap, "m_f": m_f, "mu_f": mu_f},
     )
 
 
@@ -138,10 +163,8 @@ def finitary_gap_bound(
         raise ValueError("n must be at least 1")
     _check_bases(data, mu, f)
     phi, theta = data.phi, data.phi.theta
-    norms = f.norms()
     m_f = integrate(data.measure, f)
     mu_f = integrate(mu, f)
-    lhs = abs(m_f - mu_f)
 
     tail = phi.tail_constant(n) * theta**n
     cond = conditional_entropy(mu, n)
@@ -157,25 +180,16 @@ def finitary_gap_bound(
             # the empty-conditioning reading can dip negative for exotic
             # metric parameters; flag rather than certify
             vacuous = True
-    b_eff, steps = _effective(data.b, data, f)
-    if vacuous:
-        rhs = math.inf
-        radicand = raw
-    else:
-        radicand = _clip(raw, f"finitary radicand at n={n}")
-        rhs = b_eff * norms.total * (theta**n + math.sqrt(radicand))
-    return BoundReport(
-        kind="finitary",
-        lhs=lhs,
-        rhs=rhs,
-        vacuous=vacuous,
-        constants={
-            "b": b_eff,
-            "c": data.c,
-            "kappa": data.kappa,
-            "eigennorm": data.eigennorm,
-            "reduction_norms": steps,
-        },
+    radicand = raw if vacuous else _clip(raw, f"finitary radicand at n={n}")
+    return gibbs_report(
+        "finitary",
+        data,
+        f,
+        "b",
+        abs(m_f - mu_f),
+        radicand,
+        theta**n,
+        vacuous,
         terms={
             "tail": tail,
             "cond_entropy": cond,
@@ -184,7 +198,6 @@ def finitary_gap_bound(
             "radicand": radicand,
             "raw_radicand": raw,
             "theta_power": theta**n,
-            "f_norm": norms.total,
             "m_f": m_f,
             "mu_f": mu_f,
         },
@@ -203,7 +216,9 @@ def block_entropy_gap_bound(
 
     Needs n >= 3*ell.  The radicand P - (mu(phi) + H_n/n) + ell/(n-ell) H(pi)
     is provably nonnegative for order-1 Markov measures, so no vacuous branch
-    exists here.
+    exists here.  The term chain_dev = |H_n - H(pi) - (n-1)h| compares the
+    block entropy's dynamic program with the chain rule, for the caller to
+    judge.
     """
     _check_bases(data, mu, f)
     phi, theta = data.phi, data.phi.theta
@@ -213,36 +228,30 @@ def block_entropy_gap_bound(
         raise ValueError(f"potential still varies at depth {ell}")
     if n < 3 * ell:
         raise ValueError(f"n must be at least 3*ell = {3 * ell}")
-    norms = f.norms()
     m_f = integrate(data.measure, f)
     mu_f = integrate(mu, f)
 
-    block_rate = block_entropy(mu, n) / n
+    block = block_entropy(mu, n)
+    block_rate = block / n
     marginal = conditional_entropy(mu, 1)
     raw = data.pressure - (integrate(mu, phi) + block_rate) + ell / (n - ell) * marginal
     radicand = _clip(raw, f"block-entropy radicand at n={n}, ell={ell}")
     power = theta ** ((n - ell) // 2)
-    b_eff, steps = _effective(data.b, data, f)
-    rhs = b_eff * norms.total * (power + math.sqrt(radicand))
-    return BoundReport(
-        kind="block-entropy",
-        lhs=abs(m_f - mu_f),
-        rhs=rhs,
-        vacuous=False,
-        constants={
-            "b": b_eff,
-            "c": data.c,
-            "kappa": data.kappa,
-            "eigennorm": data.eigennorm,
-            "reduction_norms": steps,
-        },
+    return gibbs_report(
+        "block-entropy",
+        data,
+        f,
+        "b",
+        abs(m_f - mu_f),
+        radicand,
+        power,
         terms={
             "block_entropy_rate": block_rate,
             "marginal_entropy": marginal,
+            "chain_dev": abs(block - (marginal + (n - 1) * entropy_rate(mu))),
             "radicand": radicand,
             "raw_radicand": raw,
             "theta_power": power,
-            "f_norm": norms.total,
             "m_f": m_f,
             "mu_f": mu_f,
         },

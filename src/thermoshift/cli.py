@@ -680,11 +680,13 @@ def _build_identities(cfg: ExperimentConfig):
             kl.append(abs(conditional_kl_integral(data.measure, mu) - gap))
         records.append((name, "kl-pressure", _worst(kl), IDENTITY_TOL))
 
-        orbit = []
+        orbit, trace = [], []
         for nu in periodic_orbit_measures(shift, phi, range(1, k_max + 1)):
             lhs, rhs = orbit_entropy_identity(nu, phi)
             orbit.append(abs(lhs - rhs))
+            trace.append(nu.trace_dev)
         records.append((name, "orbit-entropy", _worst(orbit), IDENTITY_TOL))
+        records.append((name, "orbit-trace", _worst(trace), IDENTITY_TOL))
 
         routes = [
             partition_sum(shift, phi, shift.states[0], n).rel_err
@@ -718,7 +720,9 @@ def _build_identities(cfg: ExperimentConfig):
         if kl < 0.0 or float(np.abs(q - p).sum()) > math.sqrt(2.0 * kl) + 1e-12:
             violations += 1
     records.append(("global", "pinsker-violations", float(violations), 0.0))
-    return records, [(s, c, value, tol, value <= tol) for s, c, value, tol in records]
+    # the trace check prints its line but writes no row
+    rows = [(s, c, value, tol, value <= tol) for s, c, value, tol in records if c != "orbit-trace"]
+    return records, rows
 
 
 class _Kind(NamedTuple):
@@ -771,7 +775,14 @@ _KINDS = {
         ("trials", "n", "form", "ell"),
         "form,trial,seed,n,ell,radicand,lhs,rhs,slack,vacuous",
         _build_theorem2,
-        lambda reports: [_slack_check(reports, "min non-vacuous slack")],
+        lambda reports: [
+            _slack_check(reports, "min non-vacuous slack"),
+            _deviation_check(
+                "block-chain-rule",
+                "chain-rule",
+                (r.terms.get("chain_dev", 0.0) for r in reports),
+            ),
+        ],
     ),
     "corollary1": _Kind(
         ("n", "observable"),
@@ -786,6 +797,7 @@ _KINDS = {
         lambda reports: [
             _slack_check(reports, "min slack on settled periods"),
             _identity_check("orbit-entropy-identity", reports),
+            _deviation_check("orbit-trace", "trace", (r.terms["trace_dev"] for r in reports)),
         ],
     ),
     "corollary3": _Kind(

@@ -135,7 +135,7 @@ class TransitionMatrix:
         return self is other or (self.states == other.states and self._rows == other._rows)
 
 
-def build_sft(states, edges, require_mixing: bool = False) -> TransitionMatrix:
+def build_sft(states, edges) -> TransitionMatrix:
     """Build a shift from state labels and admissible label pairs.
 
     States that cannot occur in any bi-infinite sequence (no outgoing or no
@@ -169,14 +169,11 @@ def build_sft(states, edges, require_mixing: bool = False) -> TransitionMatrix:
             f"no state survives pruning; removed {tuple(states)!r}"
         )
 
-    shift = TransitionMatrix(
+    return TransitionMatrix(
         states=tuple(states[i] for i in alive),
         matrix=m[np.ix_(alive, alive)],
         removed=tuple(removed),
     )
-    if require_mixing and not is_topologically_mixing(shift):
-        raise NotMixingError("transition matrix is not irreducible and aperiodic")
-    return shift
 
 
 def strong_components(adjacency) -> tuple:
@@ -276,11 +273,11 @@ def enumerate_words(shift: TransitionMatrix, n: int, cap: int = WORD_CAP) -> lis
     return words
 
 
-def enumerate_periodic(shift: TransitionMatrix, k: int, cap: int = WORD_CAP) -> list:
+def enumerate_periodic(shift: TransitionMatrix, k: int) -> list:
     """All length-k words admissible with wrap-around (period-k points)."""
     if k < 1:
         raise ValueError("period must be at least 1")
-    words = enumerate_words(shift, k, cap=cap)
+    words = enumerate_words(shift, k)
     rows = shift._rows
     return [w for w in words if rows[w[-1]][w[0]]]
 
@@ -342,14 +339,14 @@ def _block_label(shift: TransitionMatrix, block) -> str:
     return "|".join(str(s) for s in labels)
 
 
-def higher_block_recode(shift: TransitionMatrix, ell: int, cap: int = WORD_CAP) -> Recoding:
+def higher_block_recode(shift: TransitionMatrix, ell: int) -> Recoding:
     """Recode to the shift whose states are admissible (ell - 1)-words.
 
     ell = 2 reproduces the original shift up to state relabelling.
     """
     if ell < 2:
         raise ValueError("block length must be at least 2")
-    blocks = enumerate_words(shift, ell - 1, cap=cap)
+    blocks = enumerate_words(shift, ell - 1)
     nb = len(blocks)
     # block u is followed by each admissible one-symbol extension of its tail
     position = {b: u for u, b in enumerate(blocks)}

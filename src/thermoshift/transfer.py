@@ -18,7 +18,6 @@ import numpy as np
 from .measures import KERNEL_ROW_TOL, MarkovMeasure, reverse_kernel
 from .potential import LocallyConstantFunction, recode_to_markovian
 from .shift import (
-    WORD_CAP,
     NotMixingError,
     Recoding,
     TransitionMatrix,
@@ -105,11 +104,19 @@ def _spectrum(b: np.ndarray):
     positive left (u B = lam u) and right (B v = lam v) Perron vectors.
 
     Dense eigendecompositions of B and its transpose, O(n^3), no iteration.
+    Every edge weight is finite, but their root may not be: that root is
+    refused here, before any caller divides by it or takes its log.
     """
     vals, k, v = _perron_vector(b)
     u = _perron_vector(b.T)[2]
+    lam = float(vals[k].real)
+    if not math.isfinite(lam):
+        raise EigensolverError(
+            f"dominant root {lam} overflows a float: the pressure is past "
+            "the float range"
+        )
     lambda2 = float(np.max(np.abs(np.delete(vals, k)), initial=0.0))
-    return float(vals[k].real), lambda2, u, v
+    return lam, lambda2, u, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,13 +201,6 @@ def perron_data(
         raise NotMixingError("transfer operator theory here needs a mixing shift")
     b = transfer_matrix(shift, phi)
     lam, lambda2, u, v = _spectrum(b)
-    # every edge weight is finite, but their root may not be; p below would
-    # divide by it
-    if not math.isfinite(lam):
-        raise EigensolverError(
-            f"dominant root {lam} overflows a float: the pressure is past "
-            "the float range"
-        )
     # scale so the geometric mean of h is 1, then sum(h * nu) = 1; every
     # published quantity is invariant under the joint rescaling anyway
     h = u / math.exp(float(np.mean(np.log(u))))
@@ -288,7 +288,6 @@ def partition_sum(
     phi: LocallyConstantFunction,
     state,
     n: int,
-    cap: int | None = None,
 ) -> PartitionSum:
     """Weighted count of period-n points through a state, computed two ways.
 
@@ -303,7 +302,7 @@ def partition_sum(
     a = shift.index(state) if not isinstance(state, (int, np.integer)) else int(state)
     if n < 1:
         raise ValueError("period must be at least 1")
-    check_word_count(shift, n, WORD_CAP if cap is None else cap)
+    check_word_count(shift, n)
     steps = _steps(shift, phi)
     # (last symbol, Birkhoff sum over the steps taken) of each word from a
     level = [(a, 0.0)]
@@ -371,20 +370,16 @@ class GibbsCertificate(NamedTuple):
     worst_word: tuple
 
 
-def gibbs_certificate(
-    data: PerronData, n_max: int, slack_factor: float = 1.0
-) -> GibbsCertificate:
+def gibbs_certificate(data: PerronData, n_max: int) -> GibbsCertificate:
     """Cylinder-mass comparison against the weight the word itself determines.
 
     For each word w of length n <= n_max the ratio m([w]) exp(kP - S) is
     formed, where S is the part of the Birkhoff sum determined by w alone
     (k = n summands for a range-1 potential, k = n-1 for range 2).  For
     range 2 the ratio is exactly h[first] * nu[last], so the empirical
-    constant must sit inside the eigenvector window; the caller judges that,
-    and slack_factor widens the window when the caller certifies a recoded
-    potential in its original coordinates.  Words grow one symbol at a time,
-    in lexicographic order, carrying their cylinder masses and Birkhoff sums
-    along.
+    constant must sit inside the eigenvector window; the caller judges that.
+    Words grow one symbol at a time, in lexicographic order, carrying their
+    cylinder masses and Birkhoff sums along.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -422,7 +417,7 @@ def gibbs_certificate(
     # The worst ratio can attain the window exactly (range 2), so the
     # certified constant carries a rounding allowance for the two float
     # routes that produce the two sides.
-    apriori = max(big / small, 1.0 / small, big, 1.0) * slack_factor * (1.0 + 1e-9)
+    apriori = max(big / small, 1.0 / small, big, 1.0) * (1.0 + 1e-9)
     return GibbsCertificate(
         empirical=empirical,
         apriori=apriori,

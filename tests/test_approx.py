@@ -475,6 +475,7 @@ class OracleOrbitMeasure(NamedTuple):
     scaled: np.ndarray
     power: np.ndarray
     log_normalizer: float
+    trace_dev: float
 
     def expectation(self, f):
         r, k = f.depth, self.k
@@ -521,13 +522,9 @@ def orbit_measure_oracle(shift, phi, k):
     if trace <= 0.0:
         raise ValueError(f"no periodic points of period {k}")
     spectral = float(np.sum((eigenvalues / rho) ** k).real)
-    if abs(trace - spectral) > 1e-10 * max(1.0, trace):
-        raise RuntimeError(
-            f"normalizer rho^k * {trace} disagrees with the eigenvalue sum "
-            f"rho^k * {spectral} at k={k}"
-        )
+    trace_dev = abs(trace - spectral) / max(1.0, trace)
     log_normalizer = k * math.log(rho) + math.log(trace)
-    return OracleOrbitMeasure(shift, phi, k, scaled, power, log_normalizer)
+    return OracleOrbitMeasure(shift, phi, k, scaled, power, log_normalizer, trace_dev)
 
 
 def orbit_readings(nu, observables):
@@ -618,12 +615,23 @@ def test_family_refusals_match_one_period_measures():
 
 def test_family_checks_the_trace_at_every_period(monkeypatch):
     # eigenvalues 2, 0.02, -0.02 for B = [[1, 1], [1, 1]] (really 2, 0):
-    # the sum matches the trace at k = 1 and misses it by 2e-4 at k = 2
+    # the sum matches the trace at k = 1 and misses it by 2e-4 at k = 2; the
+    # measures are still built, and carry the miss for the caller to judge
     shift, phi = builtin_system("full2-zero")
     monkeypatch.setattr(np.linalg, "eigvals", lambda b: np.array([2.0, 0.02, -0.02]))
-    want = refusal(orbit_measure_oracle, shift, phi, 2)
-    assert want[0] is RuntimeError and want[1].endswith("at k=2")
-    assert family_refusal(shift, phi, range(1, 5)) == ([1], want)
+    family = list(periodic_orbit_measures(shift, phi, range(1, 5)))
+    assert [nu.k for nu in family] == [1, 2, 3, 4]
+    for nu in family:
+        assert nu.trace_dev == orbit_measure_oracle(shift, phi, nu.k).trace_dev
+        assert nu.trace_dev == periodic_orbit_measure(shift, phi, nu.k).trace_dev
+    assert family[0].trace_dev <= 1e-10
+    assert family[1].trace_dev == pytest.approx(2e-4, rel=1e-9)
+    # the harness reports each period's miss
+    data = perron_data(shift, phi)
+    f = LocallyConstantFunction.indicator(shift, (0,))
+    reports = periodic_orbit_harness(data, f, range(3, 5))
+    assert [rep.terms["trace_dev"] for rep in reports] == [nu.trace_dev for nu in family[2:]]
+    assert reports[1].terms["trace_dev"] > 1e-10
 
 
 def test_harness_refuses_short_periods_before_solving(monkeypatch):

@@ -3,11 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from thermoshift.approx import (
+    combined_orbit_harness,
+    geometric_model,
+    periodic_orbit_harness,
+    stability_bound,
+    truncate,
+)
 from thermoshift.bounds import (
     block_entropy_gap_bound,
     cohomology_residual,
     entropy_averaging_check,
     finitary_gap_bound,
+    gibbs_report,
     pressure_gap_bound,
     reduction_step_norms,
 )
@@ -17,7 +25,7 @@ from thermoshift.measures import (
     point_mass,
     random_markov_measure,
 )
-from thermoshift.potential import LocallyConstantFunction, random_function
+from thermoshift.potential import LocallyConstantFunction, add, random_function
 from thermoshift.systems import BUILTIN_SYSTEMS, builtin_shift, builtin_system
 from thermoshift.transfer import equilibrium, perron_data
 
@@ -225,3 +233,47 @@ def test_slack_property():
     f = LocallyConstantFunction.indicator(data.shift, (0,))
     rep = pressure_gap_bound(data, mu, f)
     assert rep.slack == rep.rhs - rep.lhs
+
+
+def test_every_report_on_perron_data_has_the_same_constants():
+    shift, phi = builtin_system("golden-range2")
+    data = perron_data(shift, phi)
+    rng = np.random.default_rng(71)
+    mu = random_markov_measure(shift, rng)
+    f = random_function(shift, 3, rng)
+    psi = add(phi, random_function(shift, 2, rng, low=-0.1, high=0.1))
+    sub = truncate(geometric_model(0.5), 4)
+    named = [
+        ("a", data, [pressure_gap_bound(data, mu, f), stability_bound(data, psi, f)]),
+        (
+            "b",
+            data,
+            [
+                finitary_gap_bound(data, mu, f, 1),
+                finitary_gap_bound(data, mu, f, 4),
+                block_entropy_gap_bound(data, mu, f, 6, 2),
+                *periodic_orbit_harness(data, f, range(3, 6)),
+            ],
+        ),
+        ("b", sub.data, combined_orbit_harness(sub, {1: 1.0, 2: -0.5}, range(3, 6))),
+    ]
+    for name, source, reports in named:
+        for rep in reports:
+            assert list(rep.constants) == [name, "c", "kappa", "eigennorm", "reduction_norms"]
+            steps = rep.constants["reduction_norms"]
+            assert rep.constants[name] == getattr(source, name) * math.prod(steps)
+            assert (rep.constants["c"], rep.constants["kappa"], rep.constants["eigennorm"]) == (
+                source.c,
+                source.kappa,
+                source.eigennorm,
+            )
+            assert "f_norm" in rep.terms
+
+
+def test_vacuous_report_reads_no_radicand(golden_data):
+    f = LocallyConstantFunction.indicator(golden_data.shift, (0,))
+    rep = gibbs_report("finitary", golden_data, f, "b", 0.5, -1.0, 0.25, True, terms={})
+    assert rep.rhs == math.inf and rep.vacuous
+    rep = gibbs_report("finitary", golden_data, f, "b", 0.5, 4.0, 0.25, terms={})
+    assert rep.rhs == golden_data.b * 1.0 * (0.25 + 2.0)
+    assert rep.slack == rep.rhs - 0.5

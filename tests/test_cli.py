@@ -483,6 +483,38 @@ def test_overflowing_root_exits_2_without_warnings(tmp_path, capsys, kind):
     )
 
 
+def test_gurevich_estimate_refuses_an_overflowing_root(tmp_path, capsys):
+    # the period-1 sums are finite, so the estimate is the first to read the
+    # overflowing root; it is refused there, not written as a rate beside
+    # an infinite residual
+    cfg = tmp_path / "root.cfg"
+    cfg.write_text(
+        "[shift]\nbuiltin = full-2\n\n[potential]\nrange = 1\ndefault = 709.7\n\n"
+        "[experiment]\nkind = partition-sums\nn = 1\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: dominant root inf overflows a float: the pressure is past the float range\n"
+    )
+
+
+def test_seeded_identities_run_with_a_drifting_reversed_row_passes(tmp_path, capsys):
+    # its second random tribonacci measure gives a state mass 7.26e-8, and
+    # that state's reversed row misses 1 by 1.19e-9
+    cfg = tmp_path / "id.cfg"
+    cfg.write_text(
+        "[shift]\nsystem = golden-zero\n\n"
+        "[experiment]\nkind = identities\ntrials = 2\nseed = 1780381541\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "check tribonacci-zero/kl-pressure: PASS" in capsys.readouterr().out
+    assert len((tmp_path / "out" / "identities.csv").read_text().splitlines()) == 37
+
+
 def test_module_entry_point_runs_under_warnings_as_errors(tmp_path):
     # python -m thermoshift goes through thermoshift/__main__.py, which runpy
     # does not find already imported by the package
@@ -544,6 +576,68 @@ def test_exchange_identity_can_fail(tmp_path, capsys, monkeypatch):
     lines = run_failing(tmp_path, capsys, "kind = corollary3\ntrials = 3", "exchange-identity")
     assert len(lines) == 4
     assert float(lines[1].split(",")[6]) == pytest.approx(1e-6, rel=1e-3)
+
+
+# The block-entropy chain rule and the periodic-orbit trace are judged by the
+# experiments too: theorem2 and corollary2 in their own check lines, and
+# identities in its block-chain-rule row and a per-system orbit-trace line
+# that writes no row.
+
+
+def drift_block_entropy(monkeypatch):
+    """The block-entropy DP strays from H(pi) + (n-1)h by 1e-6 a step."""
+    upto = measures._BlockEntropies.upto
+    monkeypatch.setattr(
+        measures._BlockEntropies, "upto", lambda self, n: upto(self, n) + 1e-6 * (n - 1)
+    )
+
+
+def add_spurious_eigenvalue(monkeypatch):
+    """An eigenvalue at half the spectral radius: the eigenvalue sum misses
+    the trace of (B/rho)^k by 2^-k."""
+    eigvals = np.linalg.eigvals
+
+    def spurious(b):
+        values = eigvals(b)
+        return np.append(values, 0.5 * np.max(np.abs(values)))
+
+    monkeypatch.setattr(np.linalg, "eigvals", spurious)
+
+
+def test_chain_rule_disagreement_fails_theorem2(tmp_path, capsys, monkeypatch):
+    drift_block_entropy(monkeypatch)
+    lines = run_failing(tmp_path, capsys, "kind = theorem2\ntrials = 2", "block-chain-rule")
+    assert lines[0] == "form,trial,seed,n,ell,radicand,lhs,rhs,slack,vacuous"
+    assert len(lines) > 1
+
+
+def test_chain_rule_disagreement_fails_identities(tmp_path, capsys, monkeypatch):
+    drift_block_entropy(monkeypatch)
+    lines = run_failing(
+        tmp_path, capsys, "kind = identities\ntrials = 2", "golden-range2/block-chain-rule"
+    )
+    assert len(lines) == 37
+
+
+def test_trace_disagreement_fails_corollary2(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "clean.cfg"
+    cfg.write_text("[shift]\nsystem = golden-range2\n\n[experiment]\nkind = corollary2\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "clean")]) == 0
+    assert "check orbit-trace: PASS" in capsys.readouterr().out
+    add_spurious_eigenvalue(monkeypatch)
+    lines = run_failing(tmp_path, capsys, "kind = corollary2", "orbit-trace")
+    # the CSV carries no trace column, so it is the clean run's
+    assert lines == (tmp_path / "clean" / "corollary2.csv").read_text().splitlines()
+
+
+def test_trace_disagreement_fails_identities(tmp_path, capsys, monkeypatch):
+    add_spurious_eigenvalue(monkeypatch)
+    lines = run_failing(
+        tmp_path, capsys, "kind = identities\ntrials = 2", "tribonacci-zero/orbit-trace"
+    )
+    # no row for the trace check: the CSV keeps its 36 rows, all passing
+    assert len(lines) == 37
+    assert all(line.endswith(",true") for line in lines[1:])
 
 
 # A nan fails the check it reaches, like any other value outside tolerance.

@@ -282,3 +282,19 @@ def test_random_markov_measure_supported_on_shift():
     mu = random_markov_measure(shift, np.random.default_rng(5))
     assert np.all(mu.kernel[shift.matrix == 0] == 0.0)
     assert mu.kernel.sum(axis=1) == pytest.approx(np.ones(shift.n))
+
+
+def test_conditional_kl_integral_reads_reversed_rows_that_drift_past_1e9():
+    # a state of mass 7.26e-8: its reversed row misses 1 by 1.19e-9, as the
+    # stationarity residual divided by that mass
+    shift, phi = builtin_system("tribonacci-zero")
+    data = perron_data(shift, phi)
+    mu = random_markov_measure(shift, np.random.default_rng([1780381541, 4, 1]))
+    drift = abs(reverse_kernel(mu).sum(axis=1) - 1.0)
+    assert drift.max() > 1e-9
+    gap = data.pressure - metric_pressure(mu, phi)
+    assert abs(conditional_kl_integral(data.measure, mu) - gap) <= 1e-14
+    # a caller's vector that far off is still refused
+    j = int(np.argmax(drift))
+    with pytest.raises(ValueError, match="probability vectors"):
+        kl_divergence(reverse_kernel(data.measure)[j], reverse_kernel(mu)[j])

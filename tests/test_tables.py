@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from thermoshift import cli
 from thermoshift import measures as measures_module
 from thermoshift import shift as shift_module
-from thermoshift.bounds import reduction_step_norms
+from thermoshift.bounds import block_entropy_gap_bound, reduction_step_norms
 from thermoshift.measures import (
     MarkovMeasure,
     _recurrent_classes,
@@ -474,12 +474,8 @@ def test_cached_entropies_match_a_fresh_dp_in_any_order(mu, shuffled):
         # a fresh instance per order, so each starts with empty caches
         fresh = MarkovMeasure(base=mu.base, kernel=mu.kernel, initial=mu.initial)
         for n in order:
-            value, closed = block_entropy_oracle(fresh, n)
-            if abs(value - closed) > 1e-10:
-                with pytest.raises(RuntimeError, match="chain rule"):
-                    block_entropy(fresh, n)
-            else:
-                assert block_entropy(fresh, n) == value
+            # the DP's value, also where it strays from the chain rule
+            assert block_entropy(fresh, n) == block_entropy_oracle(fresh, n)[0]
         assert entropy_rate(fresh) == row_entropy_oracle(fresh.initial, fresh.kernel)
         assert conditional_entropy(fresh, 1) == shannon_oracle(fresh.initial)
         q = reverse_kernel_oracle(fresh)
@@ -489,11 +485,16 @@ def test_cached_entropies_match_a_fresh_dp_in_any_order(mu, shuffled):
 def test_block_entropy_chain_rule_check_runs_on_every_new_length():
     shift = build_sft("ab", ["aa", "ab", "ba", "bb"])
     mu = make_markov_measure(shift, [[0.3, 0.7], [0.6, 0.4]])
+    data = perron_data(shift, LocallyConstantFunction.zero(shift))
+    f = LocallyConstantFunction.indicator(shift, (0,))
     block_entropy(mu, 5)
-    # a wrong entropy rate must be caught for lengths the DP has already run
+    # a wrong entropy rate must show in the chain_dev of lengths the DP has
+    # already run, and of new ones; block_entropy still returns the DP's value
     mu.__dict__["_entropy_rate"] = entropy_rate(mu) + 1e-6
-    with pytest.raises(RuntimeError, match="chain rule"):
-        block_entropy(mu, 3)
+    for n in (3, 5, 7):
+        rep = block_entropy_gap_bound(data, mu, f, n, 1)
+        assert rep.terms["chain_dev"] == pytest.approx((n - 1) * 1e-6, rel=1e-6)
+        assert block_entropy(mu, n) == block_entropy_oracle(mu, n)[0]
 
 
 def test_reverse_kernel_is_read_only():

@@ -292,3 +292,12 @@ def test_second_modulus_exact_on_128_states():
     mods = np.sort(np.abs(np.linalg.eigvals(data.matrix)))
     assert data.lambda2_mod == pytest.approx(mods[-2], rel=1e-12)
     assert data.lam == pytest.approx(mods[-1], rel=1e-12)
+
+
+def test_gurevich_estimate_refuses_an_overflowing_root():
+    # exp(709.7) is finite, its row sum 2 exp(709.7) is not
+    shift = builtin_shift("full-2")
+    phi = LocallyConstantFunction.constant(shift, 709.7)
+    for route in (lambda: gurevich_estimate(shift, phi, "a", 1), lambda: perron_data(shift, phi)):
+        with pytest.raises(EigensolverError, match="dominant root inf overflows a float"):
+            route()
