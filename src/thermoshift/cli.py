@@ -49,7 +49,7 @@ from .measures import (
     metric_pressure,
     random_markov_measure,
 )
-from .potential import LocallyConstantFunction, add, random_function
+from .potential import DEFAULT_THETA, LocallyConstantFunction, add, random_function
 from .shift import TransitionMatrix, build_sft
 from .systems import BUILTIN_SHIFTS, BUILTIN_SYSTEMS, builtin_shift, builtin_system
 from .transfer import (
@@ -135,7 +135,11 @@ def _at_line(lineno: int | None, build, *args, **kwargs):
         raise ConfigError(str(exc), lineno) from None
 
 
-def _parse_float(value: str, lineno: int) -> float:
+# Every value parser takes (key, value, line), the shape the kind table's
+# parsers share, and raises a ConfigError at the line.
+
+
+def _real(key: str, value: str, lineno: int) -> float:
     try:
         number = float(value)
     except ValueError:
@@ -145,20 +149,48 @@ def _parse_float(value: str, lineno: int) -> float:
     return number
 
 
-def _parse_int(value: str, lineno: int) -> int:
+def _integer(key: str, value: str, lineno: int) -> int:
     try:
         return int(value)
     except ValueError:
         raise ConfigError(f"expected an integer, got {value!r}", lineno) from None
 
 
-def _param(params: dict, key: str, default, parse=None):
-    """The value under key in a section's plain entries, run through
-    parse(value, line) when given; default when the key is absent."""
-    if key not in params:
-        return default
-    value, lineno = params[key]
-    return value if parse is None else parse(value, lineno)
+def _text(key: str, value: str, lineno: int) -> str:
+    return value
+
+
+def _count(key: str, value: str, lineno: int) -> int:
+    """An integer that counts something, so at least 1."""
+    number = _integer(key, value, lineno)
+    if number < 1:
+        raise ConfigError(f"{key} must be at least 1, got {number}", lineno)
+    return number
+
+
+def _span(key: str, value: str, lineno: int) -> range:
+    """lo..hi, both ends included, or a single integer."""
+    if ".." not in value:
+        n = _integer(key, value, lineno)
+        return range(n, n + 1)
+    lo, hi = value.split("..", 1)
+    span = range(_integer(key, lo, lineno), _integer(key, hi, lineno) + 1)
+    if not span:
+        raise ConfigError(f"{key} = {value} is an empty range", lineno)
+    return span
+
+
+def _form(key: str, value: str, lineno: int) -> str:
+    if value not in _FORMS:
+        raise ConfigError(f"unknown form {value!r}", lineno)
+    return value
+
+
+def _theta(key: str, value: str, lineno: int) -> float:
+    theta = _real(key, value, lineno)
+    if not 0.0 < theta < 1.0:
+        raise ConfigError("theta must lie in (0, 1)", lineno)
+    return theta
 
 
 def _parse_word(shift: TransitionMatrix, text: str, lineno: int) -> tuple:
@@ -179,39 +211,31 @@ def _parse_word(shift: TransitionMatrix, text: str, lineno: int) -> tuple:
 
 
 _MODEL_RE = re.compile(r"^(\w+)\s*\(([^)]*)\)$")
-# weight family -> (constructor, name of its first argument)
+# weight family -> (constructor, name of its one argument)
 _MODELS = {"geometric": (geometric_model, "ratio"), "zeta": (zeta_model, "alpha")}
 
 
-def _parse_model(value: str, lineno: int, scale: float) -> CountableModel:
+def _parse_model(value: str, lineno: int) -> CountableModel:
     m = _MODEL_RE.match(value)
     if m is None:
         raise ConfigError(f"cannot parse model {value!r}", lineno)
-    name = m.group(1)
-    args = [
-        _parse_float(part.strip(), lineno)
-        for part in m.group(2).split(",")
-        if part.strip()
-    ]
+    name, arg = m.group(1), m.group(2).strip()
     if name not in _MODELS:
         raise ConfigError(f"unknown weight family {name!r}", lineno)
-    family, arg = _MODELS[name]
-    if len(args) == 1:
-        return family(args[0], scale)
-    if len(args) == 2:
-        return family(args[0], args[1])
-    raise ConfigError(f"{name} takes ({arg}) or ({arg}, scale)", lineno)
+    family, arg_name = _MODELS[name]
+    if not arg or "," in arg:
+        raise ConfigError(f"{name} takes one argument: {name}({arg_name})", lineno)
+    return _at_line(lineno, family, _real("model", arg, lineno))
 
 
 @dataclass
 class ExperimentConfig:
     kind: str
-    params: dict
+    params: dict  # the kind's own [experiment] keys -> parsed values
     seed: int
     out: str
-    theta: float
     shift: TransitionMatrix | None
-    phi: LocallyConstantFunction | None
+    phi: LocallyConstantFunction | None  # carries the run's one theta
     model: CountableModel | None
     observables: dict  # name -> function, or state -> value on a model
     perturbation: LocallyConstantFunction | None
@@ -220,39 +244,30 @@ class ExperimentConfig:
 def _build_function(
     shift: TransitionMatrix, section: _Section, theta: float
 ) -> LocallyConstantFunction:
-    entries = {}
+    entries = []  # (word, spelling, line, value) per value entry
     depth = None
     default = None
-    local_theta = theta
     for key, word, value, lineno in section.entries:
         if key == "range":
-            depth = _parse_int(value, lineno)
-        elif key == "theta":
-            local_theta = _parse_float(value, lineno)
+            depth = _integer(key, value, lineno)
         elif key == "default":
-            default = _parse_float(value, lineno)
+            default = _real(key, value, lineno)
         elif key == "value":
             if word is None:
                 raise ConfigError('value entries look like: value "ab" = 1.5', lineno)
-            entries[(word, lineno)] = _parse_float(value, lineno)
+            number = _real(key, value, lineno)
+            entries.append((_parse_word(shift, word, lineno), word, lineno, number))
         else:
             raise ConfigError(f"unknown key {key!r}", lineno)
     if depth is None:
-        depth = max((len(_parse_word(shift, w, ln)) for (w, ln) in entries), default=1)
+        depth = max((len(w) for w, *_ in entries), default=1)
     values = {}
-    for (word_text, lineno), v in entries.items():
-        word = _parse_word(shift, word_text, lineno)
-        if len(word) != depth:
-            raise ConfigError(
-                f"word {word_text!r} has length {len(word)}, range is {depth}", lineno
-            )
-        values[tuple(shift.states[i] for i in word)] = v
-    try:
-        return LocallyConstantFunction.from_values(
-            shift, depth, values, default=default, theta=local_theta
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), section.line) from None
+    for w, spelling, lineno, number in entries:
+        if len(w) != depth:
+            raise ConfigError(f"word {spelling!r} has length {len(w)}, range is {depth}", lineno)
+        values[tuple(shift.states[i] for i in w)] = number
+    build = LocallyConstantFunction.from_values
+    return _at_line(section.line, build, shift, depth, values, default=default, theta=theta)
 
 
 def _build_model_observable(section: _Section) -> dict:
@@ -262,8 +277,26 @@ def _build_model_observable(section: _Section) -> dict:
             raise ConfigError(
                 'countable-model observables take only value "s" = x entries', lineno
             )
-        values[_parse_int(word, lineno)] = _parse_float(value, lineno)
+        values[_integer(key, word, lineno)] = _real(key, value, lineno)
     return values
+
+
+def _shift_source(section: _Section) -> tuple:
+    """The one source key of a [shift] section, system, builtin, model or
+    states (read with edges), and the section's plain entries."""
+    plain = _plain_entries(section)
+    sources = [key for key in plain if key in ("system", "builtin", "model", "states")]
+    if not sources:
+        raise ConfigError(
+            "shift section needs system, builtin, model, or states+edges", section.line
+        )
+    reads = ("states", "edges") if sources[0] == "states" else sources[:1]
+    for key, (_, lineno) in plain.items():
+        if key not in reads:
+            raise ConfigError(f"[shift] with {sources[0]} does not read {key!r}", lineno)
+    if "edges" in reads and "edges" not in plain:
+        raise ConfigError("explicit shifts need an edges entry", plain["states"][1])
+    return sources[0], plain
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -290,56 +323,54 @@ def parse_config(text: str) -> ExperimentConfig:
             f"unknown experiment kind {kind!r}; have {', '.join(_KINDS)}",
             kind_entry[1],
         )
-    reads = ("seed", "out", "theta", *_KINDS[kind].keys)
+    reads = {"seed": _integer, "out": _text, **_KINDS[kind].keys}
     for key, (value, lineno) in exp_plain.items():
         if key not in reads:
             raise ConfigError(
                 f"{kind} does not read {key!r}; it reads kind, {', '.join(reads)}", lineno
             )
-    seed = _param(exp_plain, "seed", 0, _parse_int)
-    out = _param(exp_plain, "out", "results")
-    theta = _param(exp_plain, "theta", 0.5, _parse_float)
-    params = {key: entry for key, entry in exp_plain.items() if key in _KINDS[kind].keys}
+    source, plain = _shift_source(shift_sec[0]) if shift_sec else (None, {})
+    # keys a kind reads only in some settings, refused before any value is parsed
+    dropped = {}
+    if kind == "corollary2" and source == "model":
+        dropped["theta"] = "corollary2 reads theta only on a finite shift"
+    elif kind == "corollary2":
+        dropped["n"] = "corollary2 reads n, the truncation size, only on a countable model"
+    elif kind == "corollary3" and pert_sec:
+        for key in ("trials", "max-diff"):
+            dropped[key] = f"corollary3 does not read {key!r} beside a [perturbation] section"
+    for key, message in dropped.items():
+        if key in exp_plain:
+            raise ConfigError(message, exp_plain[key][1])
+    params = {key: reads[key](key, value, line) for key, (value, line) in exp_plain.items()}
+    seed = params.pop("seed", 0)
+    out = params.pop("out", "results")
+    theta = params.get("theta", DEFAULT_THETA)
 
-    shift = None
-    phi = None
-    model = None
-    if shift_sec:
-        plain = _plain_entries(shift_sec[0])
-        if "system" in plain:
-            name, lineno = plain["system"]
-            if pot_sec:
-                raise ConfigError(
-                    "a builtin system already fixes the potential", pot_sec[0].line
-                )
-            shift, phi = _at_line(lineno, builtin_system, name)
-        elif "builtin" in plain:
-            name, lineno = plain["builtin"]
-            shift = _at_line(lineno, builtin_shift, name)
-        elif "model" in plain:
-            value, lineno = plain["model"]
-            model = _parse_model(value, lineno, _param(plain, "scale", 1.0, _parse_float))
-        elif "states" in plain:
-            states_value, lineno = plain["states"]
-            states = states_value.split()
-            if "edges" not in plain:
-                raise ConfigError("explicit shifts need an edges entry", lineno)
-            edges_value, elineno = plain["edges"]
-            edges = []
-            for token in edges_value.split():
-                if ":" in token:
-                    u, v = token.split(":", 1)
-                elif len(token) == 2:
-                    u, v = token[0], token[1]
-                else:
-                    raise ConfigError(f"cannot parse edge {token!r}", elineno)
-                edges.append((u, v))
-            shift = _at_line(lineno, build_sft, states, edges)
-        else:
-            raise ConfigError(
-                "shift section needs system, builtin, model, or states+edges",
-                shift_sec[0].line,
-            )
+    shift = phi = model = None
+    value, lineno = plain.get(source, (None, None))
+    if source == "system":
+        if pot_sec:
+            raise ConfigError("a builtin system already fixes the potential", pot_sec[0].line)
+        shift, phi = _at_line(lineno, builtin_system, value, theta)
+    elif source == "builtin":
+        shift = _at_line(lineno, builtin_shift, value)
+    elif source == "model":
+        if pot_sec:
+            raise ConfigError("a countable model already fixes its weights", pot_sec[0].line)
+        model = _parse_model(value, lineno)
+    elif source == "states":
+        edges_value, elineno = plain["edges"]
+        edges = []
+        for token in edges_value.split():
+            if ":" in token:
+                u, v = token.split(":", 1)
+            elif len(token) == 2:
+                u, v = token[0], token[1]
+            else:
+                raise ConfigError(f"cannot parse edge {token!r}", elineno)
+            edges.append((u, v))
+        shift = _at_line(lineno, build_sft, value.split(), edges)
     elif kind != "identities":
         raise ConfigError(f"experiment {kind!r} needs a [shift] section")
 
@@ -367,16 +398,17 @@ def parse_config(text: str) -> ExperimentConfig:
         else:
             observables[s.name] = _build_function(shift, s, theta)
 
-    if "observable" in params:
-        name, lineno = params["observable"]
-        if name not in observables:
-            raise ConfigError(f"experiment references undefined observable {name!r}", lineno)
-    if "form" in params and params["form"][0] not in _FORMS:
-        raise ConfigError(f"unknown form {params['form'][0]!r}", params["form"][1])
+    if "observable" in params and params["observable"] not in observables:
+        raise ConfigError(
+            f"experiment references undefined observable {params['observable']!r}",
+            exp_plain["observable"][1],
+        )
     if "state" in params and shift is not None:
-        _at_line(params["state"][1], shift.index, params["state"][0])
+        _at_line(exp_plain["state"][1], shift.index, params["state"])
     # sections the kind would build and then drop, refused after every
     # [experiment] value has been read
+    if pot_sec and kind == "identities":
+        raise ConfigError("identities does not read a [potential] section", pot_sec[0].line)
     if pert_sec and kind != "corollary3":
         raise ConfigError(f"{kind} does not read a [perturbation] section", pert_sec[0].line)
     if obs_secs and "observable" not in _KINDS[kind].keys:
@@ -387,7 +419,6 @@ def parse_config(text: str) -> ExperimentConfig:
         params=params,
         seed=seed,
         out=out,
-        theta=theta,
         shift=shift,
         phi=phi,
         model=model,
@@ -424,37 +455,15 @@ class Check:
     detail: str
 
 
-def _count_param(params: dict, key: str, default: int) -> int:
-    """An integer parameter that counts something, so at least 1."""
-    value = _param(params, key, default, _parse_int)
-    if value < 1:
-        raise ConfigError(f"{key} must be at least 1, got {value}", params[key][1])
-    return value
-
-
-def _range_param(params: dict, key: str, default: range) -> range:
-    if key not in params:
-        return default
-    value, lineno = params[key]
-    if ".." in value:
-        lo, hi = value.split("..", 1)
-        span = range(_parse_int(lo, lineno), _parse_int(hi, lineno) + 1)
-        if not span:
-            raise ConfigError(f"{key} = {value} is an empty range", lineno)
-        return span
-    n = _parse_int(value, lineno)
-    return range(n, n + 1)
-
-
 def _pick_observable(cfg: ExperimentConfig):
     """The observable named in [experiment], else the first one defined, else
     the indicator of the first state (state 1 on a countable model)."""
-    name = _param(cfg.params, "observable", next(iter(cfg.observables), None))
+    name = cfg.params.get("observable", next(iter(cfg.observables), None))
     if name is not None:
         return cfg.observables[name]
     if cfg.model is not None:
         return {1: 1.0}
-    return LocallyConstantFunction.indicator(cfg.shift, (0,), theta=cfg.theta)
+    return LocallyConstantFunction.indicator(cfg.shift, (0,), theta=cfg.phi.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +534,7 @@ def _build_pressure(cfg: ExperimentConfig):
 def _build_gibbs(cfg: ExperimentConfig):
     _require_finite(cfg)
     data = equilibrium(cfg.phi)
-    n_max = _count_param(cfg.params, "n-max", 8)
+    n_max = cfg.params.get("n-max", 8)
     cert = gibbs_certificate(data, n_max)
     word = "" if not cert.worst_word else ":".join(data.shift.labels(cert.worst_word))
     return cert, [(n_max, cert.empirical, cert.apriori, cert.worst_ratio, word)]
@@ -533,10 +542,8 @@ def _build_gibbs(cfg: ExperimentConfig):
 
 def _build_partition_sums(cfg: ExperimentConfig):
     _require_finite(cfg)
-    if cfg.phi.depth > 2:
-        raise ConfigError("partition sums need a potential of range at most 2")
-    state = _param(cfg.params, "state", cfg.shift.states[0])
-    n_range = _range_param(cfg.params, "n", range(1, 13))
+    state = cfg.params.get("state", cfg.shift.states[0])
+    n_range = cfg.params.get("n", range(1, 13))
     # the sums first: a period past the float range is refused by them, with
     # both routes in the message, before the estimates read their diagonal
     sums = [partition_sum(cfg.shift, cfg.phi, state, n) for n in n_range]
@@ -552,14 +559,14 @@ def _build_partition_sums(cfg: ExperimentConfig):
 def _build_theorem1(cfg: ExperimentConfig):
     _require_finite(cfg)
     data = equilibrium(cfg.phi)
-    trials = _count_param(cfg.params, "trials", 100)
-    f_range = _count_param(cfg.params, "f-range", 3)
+    trials = cfg.params.get("trials", 100)
+    f_range = cfg.params.get("f-range", 3)
     reports = []
     for trial in range(trials):
         rng = np.random.default_rng([cfg.seed, trial])
         mu = random_markov_measure(data.shift, rng)
         depth = int(rng.integers(1, f_range + 1))
-        f = random_function(data.shift, depth, rng, theta=cfg.theta)
+        f = random_function(data.shift, depth, rng, theta=cfg.phi.theta)
         reports.append(pressure_gap_bound(data, mu, f))
     return reports, [_report_row(cfg, rep, trial=t) for t, rep in enumerate(reports)]
 
@@ -567,17 +574,17 @@ def _build_theorem1(cfg: ExperimentConfig):
 def _build_theorem2(cfg: ExperimentConfig):
     _require_finite(cfg)
     data = equilibrium(cfg.phi)
-    trials = _count_param(cfg.params, "trials", 20)
-    n_range = _range_param(cfg.params, "n", range(1, 13))
-    form = _param(cfg.params, "form", "both")
+    trials = cfg.params.get("trials", 20)
+    n_range = cfg.params.get("n", range(1, 13))
+    form = cfg.params.get("form", "both")
     ell = next(k for k in range(1, data.phi.depth + 1) if data.phi.variation(k) == 0.0)
-    ell = _count_param(cfg.params, "ell", ell)
+    ell = cfg.params.get("ell", ell)
     reports = []
     given = []
     for trial in range(trials):
         rng = np.random.default_rng([cfg.seed, 2, trial])
         mu = random_markov_measure(data.shift, rng)
-        f = random_function(data.shift, int(rng.integers(1, 3)), rng, theta=cfg.theta)
+        f = random_function(data.shift, int(rng.integers(1, 3)), rng, theta=cfg.phi.theta)
         for n in n_range:
             if form in ("general", "both"):
                 reports.append(finitary_gap_bound(data, mu, f, n))
@@ -595,23 +602,18 @@ def _build_theorem2(cfg: ExperimentConfig):
 def _build_corollary1(cfg: ExperimentConfig):
     if cfg.model is None:
         raise ConfigError("corollary1 needs a countable model in [shift]")
-    n_range = _range_param(cfg.params, "n", range(2, 21))
+    n_range = cfg.params.get("n", range(2, 21))
     reports = truncation_harness(cfg.model, _pick_observable(cfg), n_range)
     return reports, [_report_row(cfg, rep) for rep in reports]
 
 
 def _build_corollary2(cfg: ExperimentConfig):
-    k_range = _range_param(cfg.params, "k", range(3, 13))
+    k_range = cfg.params.get("k", range(3, 13))
     if cfg.model is not None:
-        sub = truncate(cfg.model, _param(cfg.params, "n", 6, _parse_int))
+        sub = truncate(cfg.model, cfg.params.get("n", 6))
         reports = combined_orbit_harness(sub, _pick_observable(cfg), k_range)
     else:
         _require_finite(cfg)
-        if "n" in cfg.params:
-            raise ConfigError(
-                "corollary2 reads n, the truncation size, only on a countable model",
-                cfg.params["n"][1],
-            )
         data = equilibrium(cfg.phi)
         f = _pick_observable(cfg)
         if data.recoding is not None:
@@ -635,21 +637,15 @@ def _build_corollary3(cfg: ExperimentConfig):
         raise ConfigError("corollary3 needs potentials of range at most 2")
     f = _pick_observable(cfg)
     if cfg.perturbation is not None:
-        for key in ("trials", "max-diff"):
-            if key in cfg.params:
-                raise ConfigError(
-                    f"corollary3 does not read {key!r} beside a [perturbation] section",
-                    cfg.params[key][1],
-                )
         candidates = [cfg.perturbation]
     else:
-        trials = _count_param(cfg.params, "trials", 100)
-        max_diff = _param(cfg.params, "max-diff", 0.5, _parse_float)
+        trials = cfg.params.get("trials", 100)
+        max_diff = cfg.params.get("max-diff", 0.5)
         candidates = []
         for trial in range(trials):
             rng = np.random.default_rng([cfg.seed, 3, trial])
             bump = random_function(
-                cfg.shift, 2, rng, low=-max_diff, high=max_diff, theta=cfg.theta
+                cfg.shift, 2, rng, low=-max_diff, high=max_diff, theta=cfg.phi.theta
             )
             candidates.append(add(cfg.phi.with_depth(2), bump))
     data = perron_data(cfg.phi.base, cfg.phi)
@@ -663,9 +659,9 @@ def _build_corollary3(cfg: ExperimentConfig):
 
 def _build_identities(cfg: ExperimentConfig):
     """Reports here are (system, check, value, tolerance) records."""
-    trials = _count_param(cfg.params, "trials", 20)
-    k_max = _count_param(cfg.params, "k-max", 10)
-    n_max = _count_param(cfg.params, "n-max", 10)
+    trials = cfg.params.get("trials", 20)
+    k_max = cfg.params.get("k-max", 10)
+    n_max = cfg.params.get("n-max", 10)
     records = []
 
     for name in sorted(BUILTIN_SYSTEMS):
@@ -726,7 +722,7 @@ def _build_identities(cfg: ExperimentConfig):
 
 
 class _Kind(NamedTuple):
-    keys: tuple  # the [experiment] keys read beyond kind, seed, out and theta
+    keys: dict  # [experiment] key read beyond kind, seed and out -> its parser
     header: str
     build: Callable  # ExperimentConfig -> (reports, rows)
     checks: Callable  # reports -> list of Check
@@ -734,7 +730,7 @@ class _Kind(NamedTuple):
 
 _KINDS = {
     "pressure": _Kind(
-        (),
+        {},
         "quantity,value",
         _build_pressure,
         lambda data: [
@@ -746,7 +742,7 @@ _KINDS = {
         ],
     ),
     "gibbs": _Kind(
-        ("n-max",),
+        {"n-max": _count},
         "n_max,empirical_C,apriori_C,worst_ratio,worst_word",
         _build_gibbs,
         lambda cert: [
@@ -758,7 +754,7 @@ _KINDS = {
         ],
     ),
     "partition-sums": _Kind(
-        ("state", "n"),
+        {"state": _text, "n": _span},
         "n,enumeration,matrix,rel_err,rate,residual",
         _build_partition_sums,
         lambda sums: [
@@ -766,13 +762,13 @@ _KINDS = {
         ],
     ),
     "theorem1": _Kind(
-        ("trials", "f-range"),
+        {"trials": _count, "f-range": _count, "theta": _theta},
         "trial,seed,pressure_gap,f_norm,lhs,rhs,slack,vacuous",
         _build_theorem1,
         lambda reports: [_slack_check(reports, "min slack")],
     ),
     "theorem2": _Kind(
-        ("trials", "n", "form", "ell"),
+        {"trials": _count, "n": _span, "form": _form, "ell": _count, "theta": _theta},
         "form,trial,seed,n,ell,radicand,lhs,rhs,slack,vacuous",
         _build_theorem2,
         lambda reports: [
@@ -785,13 +781,13 @@ _KINDS = {
         ],
     ),
     "corollary1": _Kind(
-        ("n", "observable"),
+        {"n": _span, "observable": _text},
         "n,pressure_gap,lhs,rhs,slack,vacuous",
         _build_corollary1,
         lambda reports: [_slack_check(reports, "min non-vacuous slack")],
     ),
     "corollary2": _Kind(
-        ("k", "n", "observable"),
+        {"k": _span, "n": _integer, "observable": _text, "theta": _theta},
         "k,lhs,rhs,slack,pre_asymptotic,combined_lhs,combined_rhs,identity_dev",
         _build_corollary2,
         lambda reports: [
@@ -801,7 +797,7 @@ _KINDS = {
         ],
     ),
     "corollary3": _Kind(
-        ("trials", "max-diff", "observable"),
+        {"trials": _count, "max-diff": _real, "observable": _text, "theta": _theta},
         "trial,seed,sup_diff,lhs,rhs,slack,identity_residual",
         _build_corollary3,
         lambda reports: [
@@ -810,7 +806,7 @@ _KINDS = {
         ],
     ),
     "identities": _Kind(
-        ("trials", "k-max", "n-max"),
+        {"trials": _count, "k-max": _count, "n-max": _count},
         "system,check,value,tolerance,ok",
         _build_identities,
         lambda records: [

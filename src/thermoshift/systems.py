@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .potential import LocallyConstantFunction
+from .potential import DEFAULT_THETA, LocallyConstantFunction
 from .shift import TransitionMatrix, build_sft
 
 
@@ -31,25 +31,25 @@ BUILTIN_SHIFTS = {
 
 
 def _zero_system(factory):
-    def make():
+    def make(theta):
         shift = factory()
-        return shift, LocallyConstantFunction.zero(shift)
+        return shift, LocallyConstantFunction.zero(shift, theta=theta)
 
     return make
 
 
-def _full2_bernoulli():
+def _full2_bernoulli(theta):
     shift = full_shift_2()
     phi = LocallyConstantFunction.from_values(
-        shift, 1, {("a",): math.log(0.3), ("b",): math.log(0.7)}
+        shift, 1, {("a",): math.log(0.3), ("b",): math.log(0.7)}, theta=theta
     )
     return shift, phi
 
 
-def _golden_range2():
+def _golden_range2(theta):
     shift = golden_mean_shift()
     phi = LocallyConstantFunction.from_values(
-        shift, 2, {("a", "a"): 0.25, ("a", "b"): -0.4, ("b", "a"): 0.1}
+        shift, 2, {("a", "a"): 0.25, ("a", "b"): -0.4, ("b", "a"): 0.1}, theta=theta
     )
     return shift, phi
 
@@ -72,11 +72,12 @@ def builtin_shift(name: str) -> TransitionMatrix:
         ) from None
 
 
-def builtin_system(name: str):
+def builtin_system(name: str, theta: float = DEFAULT_THETA):
+    """A builtin shift and its potential, measured in the metric d_theta."""
     try:
-        shift, phi = BUILTIN_SYSTEMS[name]()
+        make = BUILTIN_SYSTEMS[name]
     except KeyError:
         raise ValueError(
             f"unknown system {name!r}; have {sorted(BUILTIN_SYSTEMS)}"
         ) from None
-    return shift, phi
+    return make(theta)

@@ -747,3 +747,173 @@ def test_sections_a_kind_reads_still_run(tmp_path, capsys):
         "[experiment]\nkind = corollary2\nn = 3\nk = 3..5\n"
     )
     assert run_main(["run", str(model), "--out", str(tmp_path / "out")]) == 0
+
+
+# One way to say each config value: [shift] takes one source, theta is an
+# [experiment] key of the kinds that read it, and every value is parsed before
+# any solve.
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "[shift]\nsystem = golden-range2\nbuiltin = full-2\n[experiment]\nkind = pressure\n",
+            "line 3: [shift] with system does not read 'builtin'",
+        ),
+        (
+            "[shift]\nsystem = golden-range2\nbuiltin = full-2\nedges = ab ba\n"
+            "[experiment]\nkind = pressure\n",
+            "line 3: [shift] with system does not read 'builtin'",
+        ),
+        (
+            "[shift]\nbuiltin = full-2\nedges = ab ba\n[experiment]\nkind = pressure\n",
+            "line 3: [shift] with builtin does not read 'edges'",
+        ),
+        (
+            "[shift]\nsystem = golden-range2\nfoo = 1\n[experiment]\nkind = pressure\n",
+            "line 3: [shift] with system does not read 'foo'",
+        ),
+        (
+            "[shift]\nmodel = geometric(0.5)\nscale = 2\n[experiment]\nkind = corollary1\n",
+            "line 3: [shift] with model does not read 'scale'",
+        ),
+        (
+            "[shift]\nmodel = geometric(0.5, 2)\n[experiment]\nkind = corollary1\n",
+            "line 2: geometric takes one argument: geometric(ratio)",
+        ),
+        (
+            "[shift]\nmodel = geometric(0.5)\n[potential]\ndefault = 1.0\n"
+            "[experiment]\nkind = corollary1\n",
+            "line 3: a countable model already fixes its weights",
+        ),
+        (
+            "[potential]\ndefault = 1.0\n[experiment]\nkind = identities\n",
+            "line 1: identities does not read a [potential] section",
+        ),
+        (
+            "[shift]\nbuiltin = full-2\n[potential]\ndefault = 1.0\n"
+            "[experiment]\nkind = identities\n",
+            "line 3: identities does not read a [potential] section",
+        ),
+        (
+            "[shift]\nbuiltin = full-2\n[potential]\ntheta = 0.3\n[experiment]\nkind = theorem1\n",
+            "line 4: unknown key 'theta'",
+        ),
+        (
+            f"[shift]\nsystem = golden-range2\n{PERTURBATION}theta = 0.3\n"
+            "[experiment]\nkind = corollary3\n",
+            "line 7: unknown key 'theta'",
+        ),
+        (
+            f"[shift]\nsystem = golden-range2\n{OCCUPATION}theta = 0.3\n"
+            "[experiment]\nkind = corollary3\n",
+            "line 6: unknown key 'theta'",
+        ),
+        (
+            "[shift]\nmodel = geometric(0.5)\n[experiment]\nkind = corollary2\ntheta = 0.3\n",
+            "line 5: corollary2 reads theta only on a finite shift",
+        ),
+        (
+            "[shift]\nmodel = geometric(1.5)\n[experiment]\nkind = corollary1\n",
+            "line 2: ratio must lie in (0, 1)",
+        ),
+        (
+            "[shift]\nsystem = golden-range2\n[experiment]\nkind = theorem1\ntheta = 1.5\n",
+            "line 5: theta must lie in (0, 1)",
+        ),
+    ],
+    ids=[
+        "two-sources",
+        "two-sources-and-edges",
+        "edges-without-states",
+        "unknown-shift-key",
+        "scale",
+        "two-argument-model",
+        "potential-under-model",
+        "potential-on-identities",
+        "potential-on-identities-with-shift",
+        "potential-theta",
+        "perturbation-theta",
+        "observable-theta",
+        "theta-on-corollary2-model",
+        "model-constructor",
+        "theta-out-of-range",
+    ],
+)
+def test_config_values_said_one_way_exit_2_with_their_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "one-way.cfg"
+    cfg.write_text(text)
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "shift, kind",
+    [
+        ("system = golden-range2", "pressure"),
+        ("system = golden-range2", "gibbs"),
+        ("system = golden-range2", "partition-sums"),
+        ("model = zeta(2)", "corollary1"),
+        ("system = golden-zero", "identities"),
+    ],
+)
+def test_theta_is_refused_where_it_is_not_read(tmp_path, capsys, shift, kind):
+    cfg = tmp_path / "theta.cfg"
+    cfg.write_text(f"[shift]\n{shift}\n[experiment]\nkind = {kind}\ntheta = 0.3\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"line 5: {kind} does not read 'theta'" in capsys.readouterr().err
+
+
+def test_theta_reaches_builtin_system_potentials(tmp_path, capsys, monkeypatch):
+    text = "[shift]\nsystem = golden-range2\n[experiment]\nkind = {}\ntheta = 0.3\n"
+    assert parse_config(text.format("corollary3")).phi.theta == 0.3
+    assert parse_config(text.format("theorem1")).phi.theta == 0.3
+    # f and phi are measured in the one metric of the run
+    thetas = []
+
+    def recording(bound):
+        def record(data, mu, f, *args):
+            thetas.append((data.phi.theta, f.theta))
+            return bound(data, mu, f, *args)
+
+        return record
+
+    monkeypatch.setattr(cli, "pressure_gap_bound", recording(cli.pressure_gap_bound))
+    monkeypatch.setattr(cli, "finitary_gap_bound", recording(cli.finitary_gap_bound))
+    for kind, trials in [("corollary3", 5), ("theorem1", 3), ("theorem2", 1)]:
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(text.format(kind) + f"trials = {trials}\n")
+        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0, kind
+    assert thetas and set(thetas) == {(0.3, 0.3)}
+    assert "result: FAIL" not in capsys.readouterr().out
+
+
+def test_counts_are_refused_before_any_solve(tmp_path, capsys, monkeypatch):
+    def solve(*args):
+        raise AssertionError("the config was solved before its values were parsed")
+
+    monkeypatch.setattr(cli, "equilibrium", solve)
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("[shift]\nsystem = golden-range2\n[experiment]\nkind = theorem1\ntrials = 0\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "line 5: trials must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_partition_sums_refuse_a_range_3_potential(tmp_path, capsys):
+    cfg = tmp_path / "range3.cfg"
+    cfg.write_text(
+        "[shift]\nbuiltin = full-2\n[potential]\nrange = 3\ndefault = 0.0\n"
+        'value "aab" = 0.5\n[experiment]\nkind = partition-sums\n'
+    )
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "partition sums need a potential of range at most 2" in capsys.readouterr().err
+
+
+def test_identities_accepts_and_ignores_a_shift_section(tmp_path, capsys):
+    # the benchmark's kinds-small identities configs send exactly this
+    cfg = tmp_path / "id.cfg"
+    cfg.write_text("[shift]\nsystem = golden-zero\n[experiment]\nkind = identities\ntrials = 2\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "result: PASS" in capsys.readouterr().out
