@@ -88,34 +88,28 @@ def hurwitz_zeta(x: float, q: float) -> float:
 
 @dataclass(frozen=True)
 class CountableModel:
-    """Weighted full shift on states 1, 2, 3, ... with summable weights."""
+    """Weighted full shift on states 1, 2, 3, ... with summable weights:
+    ratio**s for the geometric family, s**-alpha for the zeta family, with
+    ``param`` the ratio or alpha."""
 
     family: str
-    params: tuple
+    param: float
 
     def weight(self, s: int) -> float:
         if s < 1:
             raise ValueError("states are numbered from 1")
         if self.family == "geometric":
-            ratio, scale = self.params
-            return scale * ratio**s
-        alpha, scale = self.params
-        return scale * float(s) ** -alpha
+            return self.param**s
+        return float(s) ** -self.param
 
     def total(self) -> float:
-        if self.family == "geometric":
-            ratio, scale = self.params
-            return scale * ratio / (1.0 - ratio)
-        alpha, scale = self.params
-        return scale * hurwitz_zeta(alpha, 1.0)
+        return self.tail(0)
 
     def tail(self, n: int) -> float:
         """Exact sum of the weights of all states beyond n."""
         if self.family == "geometric":
-            ratio, scale = self.params
-            return scale * ratio ** (n + 1) / (1.0 - ratio)
-        alpha, scale = self.params
-        return scale * hurwitz_zeta(alpha, float(n + 1))
+            return self.param ** (n + 1) / (1.0 - self.param)
+        return hurwitz_zeta(self.param, float(n + 1))
 
     def pressure(self) -> float:
         return math.log(self.total())
@@ -127,20 +121,16 @@ class CountableModel:
         return sum(v * self.weight(s) for s, v in values.items()) / w
 
 
-def geometric_model(ratio: float, scale: float = 1.0) -> CountableModel:
+def geometric_model(ratio: float) -> CountableModel:
     if not (0.0 < ratio < 1.0):
         raise ValueError("ratio must lie in (0, 1)")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    return CountableModel(family="geometric", params=(ratio, scale))
+    return CountableModel(family="geometric", param=ratio)
 
 
-def zeta_model(alpha: float, scale: float = 1.0) -> CountableModel:
+def zeta_model(alpha: float) -> CountableModel:
     if alpha <= 1.0:
         raise ValueError("alpha must exceed 1 for summable weights")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    return CountableModel(family="zeta", params=(alpha, scale))
+    return CountableModel(family="zeta", param=alpha)
 
 
 @dataclass(frozen=True, eq=False)

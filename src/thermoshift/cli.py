@@ -160,14 +160,6 @@ def _text(key: str, value: str, lineno: int) -> str:
     return value
 
 
-def _count(key: str, value: str, lineno: int) -> int:
-    """An integer that counts something, so at least 1."""
-    number = _integer(key, value, lineno)
-    if number < 1:
-        raise ConfigError(f"{key} must be at least 1, got {number}", lineno)
-    return number
-
-
 def _span(key: str, value: str, lineno: int) -> range:
     """lo..hi, both ends included, or a single integer."""
     if ".." not in value:
@@ -178,6 +170,27 @@ def _span(key: str, value: str, lineno: int) -> range:
     if not span:
         raise ConfigError(f"{key} = {value} is an empty range", lineno)
     return span
+
+
+def _at_least(low: int, parse: Callable) -> Callable:
+    """parse, then refuse a number below low or a range that starts below it."""
+
+    def parse_at_least(key: str, value: str, lineno: int):
+        parsed = parse(key, value, lineno)
+        if (parsed.start if isinstance(parsed, range) else parsed) < low:
+            raise ConfigError(f"{key} must be at least {low}, got {value}", lineno)
+        return parsed
+
+    return parse_at_least
+
+
+# counts start at 1, since 0 would pass over zero rows; sizes at 1, periods
+# at 3 and a model's truncation at 2 states, since below them the library
+# refuses or fails with no config line
+_count = _at_least(1, _integer)
+_size = _at_least(1, _span)
+_period = _at_least(3, _span)
+_truncation = _at_least(2, _integer)
 
 
 def _form(key: str, value: str, lineno: int) -> str:
@@ -754,7 +767,7 @@ _KINDS = {
         ],
     ),
     "partition-sums": _Kind(
-        {"state": _text, "n": _span},
+        {"state": _text, "n": _size},
         "n,enumeration,matrix,rel_err,rate,residual",
         _build_partition_sums,
         lambda sums: [
@@ -768,7 +781,7 @@ _KINDS = {
         lambda reports: [_slack_check(reports, "min slack")],
     ),
     "theorem2": _Kind(
-        {"trials": _count, "n": _span, "form": _form, "ell": _count, "theta": _theta},
+        {"trials": _count, "n": _size, "form": _form, "ell": _count, "theta": _theta},
         "form,trial,seed,n,ell,radicand,lhs,rhs,slack,vacuous",
         _build_theorem2,
         lambda reports: [
@@ -781,13 +794,13 @@ _KINDS = {
         ],
     ),
     "corollary1": _Kind(
-        {"n": _span, "observable": _text},
+        {"n": _size, "observable": _text},
         "n,pressure_gap,lhs,rhs,slack,vacuous",
         _build_corollary1,
         lambda reports: [_slack_check(reports, "min non-vacuous slack")],
     ),
     "corollary2": _Kind(
-        {"k": _span, "n": _integer, "observable": _text, "theta": _theta},
+        {"k": _period, "n": _truncation, "observable": _text, "theta": _theta},
         "k,lhs,rhs,slack,pre_asymptotic,combined_lhs,combined_rhs,identity_dev",
         _build_corollary2,
         lambda reports: [

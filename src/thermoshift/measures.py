@@ -9,7 +9,7 @@ throughout, with the convention 0 log 0 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,8 +42,6 @@ class MarkovMeasure:
     base: TransitionMatrix
     kernel: np.ndarray
     initial: np.ndarray
-    _rows: tuple = field(default=None, repr=False, compare=False)
-    _pi: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.base.n

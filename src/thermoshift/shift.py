@@ -8,7 +8,7 @@ words, i.e. tuples of state indices whose consecutive pairs are admissible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,9 +44,6 @@ class TransitionMatrix:
     states: tuple
     matrix: np.ndarray
     removed: tuple = ()
-    _index: dict = field(default=None, repr=False, compare=False)
-    _rows: tuple = field(default=None, repr=False, compare=False)
-    _succ: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # a private copy: the tables below must keep agreeing with it

@@ -329,10 +329,7 @@ def partition_sum(
 
 
 def gurevich_estimate(
-    shift: TransitionMatrix,
-    phi: LocallyConstantFunction,
-    state,
-    n_max: int = 40,
+    shift: TransitionMatrix, phi: LocallyConstantFunction, state, n_max: int
 ):
     """Pressure estimates (1/n) log (B^n)_aa with their residuals from log lam.
 

@@ -50,6 +50,56 @@ def test_zeta_closed_forms():
     assert model.tail(6) == pytest.approx(math.pi**2 / 6.0 - head, abs=1e-12)
 
 
+class _TwoParameterModel(NamedTuple):
+    """The model's formulas as they read when a model also carried a scale,
+    here at scale 1.0."""
+
+    family: str
+    param: float
+    scale: float = 1.0
+
+    def weight(self, s):
+        if self.family == "geometric":
+            return self.scale * self.param**s
+        return self.scale * float(s) ** -self.param
+
+    def total(self):
+        if self.family == "geometric":
+            return self.scale * self.param / (1.0 - self.param)
+        return self.scale * hurwitz_zeta(self.param, 1.0)
+
+    def tail(self, n):
+        if self.family == "geometric":
+            return self.scale * self.param ** (n + 1) / (1.0 - self.param)
+        return self.scale * hurwitz_zeta(self.param, float(n + 1))
+
+    def pressure(self):
+        return math.log(self.total())
+
+    def expectation(self, values):
+        return sum(v * self.weight(s) for s, v in values.items()) / self.total()
+
+
+@pytest.mark.parametrize(
+    "family, build, params",
+    [
+        ("geometric", geometric_model, np.linspace(0.001, 0.999, 50)),
+        ("zeta", zeta_model, np.linspace(1.001, 8.0, 50)),
+    ],
+)
+def test_one_parameter_model_matches_the_scaled_formulas(family, build, params):
+    """Bit for bit: dropping the scale factor 1.0 changes no value."""
+    observables = ({1: 1.0}, {2: -0.5, 5: 2.0}, {s: 1.0 / s for s in range(1, 40, 3)})
+    for param in params.tolist():
+        model, oracle = build(param), _TwoParameterModel(family, param)
+        assert model.total() == oracle.total()
+        assert model.pressure() == oracle.pressure()
+        assert [model.weight(s) for s in range(1, 40)] == [oracle.weight(s) for s in range(1, 40)]
+        assert [model.tail(n) for n in range(60)] == [oracle.tail(n) for n in range(60)]
+        for values in observables:
+            assert model.expectation(values) == oracle.expectation(values)
+
+
 # (x, q, zeta(x, q)) from scipy 1.17's scipy.special.zeta, which this package
 # called before carrying its own port; compared with ==.  The pairs are those
 # the default zeta(2) and zeta(3.0) configs read (q = 1 and q = n + 1 for
@@ -199,8 +249,9 @@ def test_model_validation():
         geometric_model(1.0)
     with pytest.raises(ValueError):
         zeta_model(1.0)
-    with pytest.raises(ValueError):
-        geometric_model(0.5, -1.0)
+    # a model has one parameter: there is no scale to pass
+    with pytest.raises(TypeError):
+        geometric_model(0.5, 2.0)
 
 
 def test_truncate_builds_weighted_full_shift():

@@ -360,15 +360,48 @@ def test_import_loads_no_scipy():
         ("model = geometric(0.5)", "kind = corollary2\nk = 9..4", "line 6: k = 9..4 is an empty range"),
         ("golden-range2", "kind = theorem1\nf-range = 0", "line 6: f-range must be at least 1, got 0"),
         ("golden-range2", "kind = theorem2\nell = 0", "line 6: ell must be at least 1, got 0"),
+        # sizes and periods below the floors the library holds them to
+        ("golden-range2", "kind = partition-sums\nn = 0..3", "line 6: n must be at least 1, got 0..3"),
+        ("golden-range2", "kind = partition-sums\nn = -2", "line 6: n must be at least 1, got -2"),
+        ("golden-range2", "kind = theorem2\nn = 0..3", "line 6: n must be at least 1, got 0..3"),
+        ("model = geometric(0.5)", "kind = corollary1\nn = 0..3", "line 6: n must be at least 1, got 0..3"),
+        ("model = zeta(2)", "kind = corollary1\nn = 0", "line 6: n must be at least 1, got 0"),
+        ("golden-range2", "kind = corollary2\nk = 1..4", "line 6: k must be at least 3, got 1..4"),
+        ("golden-range2", "kind = corollary2\nk = 2", "line 6: k must be at least 3, got 2"),
+        ("model = geometric(0.5)", "kind = corollary2\nk = 0..4", "line 6: k must be at least 3, got 0..4"),
+        ("model = geometric(0.5)", "kind = corollary2\nn = 1", "line 6: n must be at least 2, got 1"),
+        ("model = zeta(2)", "kind = corollary2\nn = -3", "line 6: n must be at least 2, got -3"),
     ],
 )
-def test_empty_ranges_and_zero_counts_exit_2(tmp_path, capsys, system, experiment, message):
+def test_empty_ranges_and_zero_counts_exit_2(
+    tmp_path, capsys, monkeypatch, system, experiment, message
+):
+    def no_run(cfg):
+        raise AssertionError("a refused config reached the experiment")
+
+    # refused while parsing, before any solve
+    monkeypatch.setattr(cli, "run_experiment", no_run)
     shift = system if system.startswith("model") else f"system = {system}"
     cfg = tmp_path / "empty.cfg"
     cfg.write_text(f"[shift]\n{shift}\n\n[experiment]\n{experiment}\n")
     assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "shift, experiment",
+    [
+        ("system = golden-range2", "kind = partition-sums\nn = 1..2"),
+        ("model = geometric(0.5)", "kind = corollary1\nn = 1..3"),
+        ("system = golden-range2", "kind = corollary2\nk = 3..4"),
+        ("model = zeta(2)", "kind = corollary2\nn = 2\nk = 3"),
+    ],
+)
+def test_sizes_and_periods_at_their_floor_run(tmp_path, shift, experiment):
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text(f"[shift]\n{shift}\n\n[experiment]\n{experiment}\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("entry", ["trials = 0", "k-max = 0", "n-max = -1"])

@@ -36,6 +36,12 @@ def symmetric(full2):
     return make_markov_measure(full2, np.array([[0.9, 0.1], [0.1, 0.9]]))
 
 
+@pytest.mark.parametrize("private", ["_rows", "_pi"])
+def test_probability_tables_are_not_constructor_arguments(symmetric, private):
+    with pytest.raises(TypeError):
+        MarkovMeasure(symmetric.base, symmetric.kernel, symmetric.initial, **{private: ()})
+
+
 def test_stationary_vector(symmetric):
     assert symmetric.initial == pytest.approx([0.5, 0.5])
     assert symmetric.initial @ symmetric.kernel == pytest.approx(symmetric.initial)

@@ -33,6 +33,13 @@ def test_build_golden_mean():
     assert shift.removed == ()
 
 
+@pytest.mark.parametrize("private", ["_index", "_rows", "_succ"])
+def test_row_tables_are_not_constructor_arguments(private):
+    shift = build_sft(["a", "b"], GOLDEN_EDGES)
+    with pytest.raises(TypeError):
+        type(shift)(shift.states, shift.matrix, **{private: ()})
+
+
 def test_build_prunes_stranded_states():
     # c has no outgoing edge, d is unreachable after c goes
     shift = build_sft(
