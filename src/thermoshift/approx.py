@@ -339,8 +339,6 @@ class _OrbitFamily:
 
     def measure(self, k: int) -> PeriodicOrbitMeasure:
         """The period-k measure; see periodic_orbit_measure."""
-        if self.phi.depth > 2:
-            raise ValueError("needs a potential of range at most 2")
         if k < 1:
             raise ValueError("period must be at least 1")
         _, rho, scaled = self._spectrum
@@ -485,8 +483,6 @@ def stability_bound(
     the normalized phi equals its integral of (psi - phi) normalized.
     """
     phi = data.phi
-    if psi.depth > 2:
-        raise ValueError("potentials must have range at most 2")
     if not phi.base.same_shift(psi.base) or not phi.base.same_shift(f.base):
         raise ValueError("inputs live on different shifts")
     data_psi = perron_data(psi.base, psi)

@@ -63,6 +63,7 @@ from .transfer import (
 IDENTITY_TOL = 1e-10
 # values of theorem2's form key, which picks the inequalities it reports
 _FORMS = ("general", "markov", "both")
+_FINITE = ("system", "builtin", "states")  # the [shift] sources besides model
 
 
 class ConfigError(ValueError):
@@ -298,7 +299,7 @@ def _shift_source(section: _Section) -> tuple:
     """The one source key of a [shift] section, system, builtin, model or
     states (read with edges), and the section's plain entries."""
     plain = _plain_entries(section)
-    sources = [key for key in plain if key in ("system", "builtin", "model", "states")]
+    sources = [key for key in plain if key in (*_FINITE, "model")]
     if not sources:
         raise ConfigError(
             "shift section needs system, builtin, model, or states+edges", section.line
@@ -356,12 +357,19 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in exp_plain:
             raise ConfigError(message, exp_plain[key][1])
     params = {key: reads[key](key, value, line) for key, (value, line) in exp_plain.items()}
+    value, lineno = plain.get(source, (None, None))
+    # a source the kind does not run on, refused before any shift is built
+    if source not in _KINDS[kind].runs_on:
+        if source is None:
+            raise ConfigError(f"experiment {kind!r} needs a [shift] section")
+        if source == "model":
+            raise ConfigError(f"experiment {kind!r} needs a finite shift and potential", lineno)
+        raise ConfigError(f"{kind} needs a countable model in [shift]", lineno)
     seed = params.pop("seed", 0)
     out = params.pop("out", "results")
     theta = params.get("theta", DEFAULT_THETA)
 
     shift = phi = model = None
-    value, lineno = plain.get(source, (None, None))
     if source == "system":
         if pot_sec:
             raise ConfigError("a builtin system already fixes the potential", pot_sec[0].line)
@@ -384,8 +392,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"cannot parse edge {token!r}", elineno)
             edges.append((u, v))
         shift = _at_line(lineno, build_sft, value.split(), edges)
-    elif kind != "identities":
-        raise ConfigError(f"experiment {kind!r} needs a [shift] section")
 
     if shift is not None and phi is None:
         if pot_sec:
@@ -416,7 +422,7 @@ def parse_config(text: str) -> ExperimentConfig:
             f"experiment references undefined observable {params['observable']!r}",
             exp_plain["observable"][1],
         )
-    if "state" in params and shift is not None:
+    if "state" in params:
         _at_line(exp_plain["state"][1], shift.index, params["state"])
     # sections the kind would build and then drop, refused after every
     # [experiment] value has been read
@@ -426,6 +432,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"{kind} does not read a [perturbation] section", pert_sec[0].line)
     if obs_secs and "observable" not in _KINDS[kind].keys:
         raise ConfigError(f"{kind} does not read [observable] sections", obs_secs[0].line)
+    limit = _KINDS[kind].max_range
+    for sec, function in ((pot_sec, phi), (pert_sec, perturbation)):
+        if sec and function.depth > limit:
+            message = f"{kind} takes a [{sec[0].kind}] of range at most {limit}"
+            raise ConfigError(f"{message}, got range {function.depth}", sec[0].line)
 
     return ExperimentConfig(
         kind=kind,
@@ -486,11 +497,6 @@ def _pick_observable(cfg: ExperimentConfig):
 # and CSV rows, and its checks decide the cross-checks those reports carry.
 
 
-def _require_finite(cfg: ExperimentConfig):
-    if cfg.shift is None or cfg.phi is None:
-        raise ConfigError(f"experiment {cfg.kind!r} needs a finite shift and potential")
-
-
 def _report_row(cfg: ExperimentConfig, rep, **given) -> tuple:
     """A bound report's row under its kind's header.  Each column is a value
     given here, else the seed, else the report's lhs, rhs, slack or vacuous,
@@ -528,7 +534,6 @@ def _identity_check(name: str, reports: list) -> Check:
 
 
 def _build_pressure(cfg: ExperimentConfig):
-    _require_finite(cfg)
     data = equilibrium(cfg.phi)
     rows = [
         ("pressure", data.pressure),
@@ -545,7 +550,6 @@ def _build_pressure(cfg: ExperimentConfig):
 
 
 def _build_gibbs(cfg: ExperimentConfig):
-    _require_finite(cfg)
     data = equilibrium(cfg.phi)
     n_max = cfg.params.get("n-max", 8)
     cert = gibbs_certificate(data, n_max)
@@ -554,7 +558,6 @@ def _build_gibbs(cfg: ExperimentConfig):
 
 
 def _build_partition_sums(cfg: ExperimentConfig):
-    _require_finite(cfg)
     state = cfg.params.get("state", cfg.shift.states[0])
     n_range = cfg.params.get("n", range(1, 13))
     # the sums first: a period past the float range is refused by them, with
@@ -570,7 +573,6 @@ def _build_partition_sums(cfg: ExperimentConfig):
 
 
 def _build_theorem1(cfg: ExperimentConfig):
-    _require_finite(cfg)
     data = equilibrium(cfg.phi)
     trials = cfg.params.get("trials", 100)
     f_range = cfg.params.get("f-range", 3)
@@ -585,7 +587,6 @@ def _build_theorem1(cfg: ExperimentConfig):
 
 
 def _build_theorem2(cfg: ExperimentConfig):
-    _require_finite(cfg)
     data = equilibrium(cfg.phi)
     trials = cfg.params.get("trials", 20)
     n_range = cfg.params.get("n", range(1, 13))
@@ -613,8 +614,6 @@ def _build_theorem2(cfg: ExperimentConfig):
 
 
 def _build_corollary1(cfg: ExperimentConfig):
-    if cfg.model is None:
-        raise ConfigError("corollary1 needs a countable model in [shift]")
     n_range = cfg.params.get("n", range(2, 21))
     reports = truncation_harness(cfg.model, _pick_observable(cfg), n_range)
     return reports, [_report_row(cfg, rep) for rep in reports]
@@ -626,12 +625,7 @@ def _build_corollary2(cfg: ExperimentConfig):
         sub = truncate(cfg.model, cfg.params.get("n", 6))
         reports = combined_orbit_harness(sub, _pick_observable(cfg), k_range)
     else:
-        _require_finite(cfg)
-        data = equilibrium(cfg.phi)
-        f = _pick_observable(cfg)
-        if data.recoding is not None:
-            raise ConfigError("corollary2 needs a potential of range at most 2")
-        reports = periodic_orbit_harness(data, f, k_range)
+        reports = periodic_orbit_harness(equilibrium(cfg.phi), _pick_observable(cfg), k_range)
     rows = [
         _report_row(
             cfg,
@@ -645,9 +639,6 @@ def _build_corollary2(cfg: ExperimentConfig):
 
 
 def _build_corollary3(cfg: ExperimentConfig):
-    _require_finite(cfg)
-    if cfg.phi.depth > 2:
-        raise ConfigError("corollary3 needs potentials of range at most 2")
     f = _pick_observable(cfg)
     if cfg.perturbation is not None:
         candidates = [cfg.perturbation]
@@ -660,7 +651,7 @@ def _build_corollary3(cfg: ExperimentConfig):
             bump = random_function(
                 cfg.shift, 2, rng, low=-max_diff, high=max_diff, theta=cfg.phi.theta
             )
-            candidates.append(add(cfg.phi.with_depth(2), bump))
+            candidates.append(add(cfg.phi, bump))
     data = perron_data(cfg.phi.base, cfg.phi)
     reports = [stability_bound(data, psi, f) for psi in candidates]
     rows = [
@@ -739,6 +730,8 @@ class _Kind(NamedTuple):
     header: str
     build: Callable  # ExperimentConfig -> (reports, rows)
     checks: Callable  # reports -> list of Check
+    runs_on: tuple = _FINITE  # the [shift] sources it takes, None for no [shift]
+    max_range: float = math.inf  # the largest range of [potential], [perturbation]
 
 
 _KINDS = {
@@ -773,6 +766,7 @@ _KINDS = {
         lambda sums: [
             _deviation_check("route-agreement", "relative", (ps.rel_err for ps in sums))
         ],
+        max_range=2,
     ),
     "theorem1": _Kind(
         {"trials": _count, "f-range": _count, "theta": _theta},
@@ -798,6 +792,7 @@ _KINDS = {
         "n,pressure_gap,lhs,rhs,slack,vacuous",
         _build_corollary1,
         lambda reports: [_slack_check(reports, "min non-vacuous slack")],
+        runs_on=("model",),
     ),
     "corollary2": _Kind(
         {"k": _period, "n": _truncation, "observable": _text, "theta": _theta},
@@ -808,6 +803,8 @@ _KINDS = {
             _identity_check("orbit-entropy-identity", reports),
             _deviation_check("orbit-trace", "trace", (r.terms["trace_dev"] for r in reports)),
         ],
+        runs_on=(*_FINITE, "model"),
+        max_range=2,
     ),
     "corollary3": _Kind(
         {"trials": _count, "max-diff": _real, "observable": _text, "theta": _theta},
@@ -817,6 +814,7 @@ _KINDS = {
             _slack_check(reports, "min slack"),
             _identity_check("exchange-identity", reports),
         ],
+        max_range=2,
     ),
     "identities": _Kind(
         {"trials": _count, "k-max": _count, "n-max": _count},
@@ -826,6 +824,7 @@ _KINDS = {
             Check(f"{system}/{check}", value <= tol, f"{value:.3g} vs {tol:.3g}")
             for system, check, value, tol in records
         ],
+        runs_on=(*_FINITE, "model", None),
     ),
 }
 

@@ -249,20 +249,20 @@ def _count_words(shift: TransitionMatrix, n: int) -> float:
     return counts[n]
 
 
-def check_word_count(shift: TransitionMatrix, n: int, cap: int = WORD_CAP):
-    """Refuse, before listing them, more than ``cap`` words of length n."""
+def check_word_count(shift: TransitionMatrix, n: int):
+    """Refuse, before listing them, more than WORD_CAP words of length n."""
     est = _count_words(shift, n)
-    if est > cap:
+    if est > WORD_CAP:
         raise EnumerationLimitError(
-            f"about {est:.3g} words of length {n}, cap is {cap}"
+            f"about {est:.3g} words of length {n}, cap is {WORD_CAP}"
         )
 
 
-def enumerate_words(shift: TransitionMatrix, n: int, cap: int = WORD_CAP) -> list:
+def enumerate_words(shift: TransitionMatrix, n: int) -> list:
     """All admissible words of length n, in lexicographic index order."""
     if n < 1:
         raise ValueError("word length must be at least 1")
-    check_word_count(shift, n, cap)
+    check_word_count(shift, n)
     succ = shift._succ
     words = [(i,) for i in range(shift.n)]
     for _ in range(n - 1):

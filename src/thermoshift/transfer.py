@@ -19,7 +19,6 @@ from .measures import KERNEL_ROW_TOL, MarkovMeasure, reverse_kernel
 from .potential import LocallyConstantFunction, recode_to_markovian
 from .shift import (
     NotMixingError,
-    Recoding,
     TransitionMatrix,
     check_word_count,
     is_topologically_mixing,
@@ -126,8 +125,7 @@ class PerronData:
     kappa is the spectral contraction rate |lambda_2|/lambda, c a certified
     prefactor for the iterate norms, eigennorm the eigenvector ratio
     max(h) * max(1/h), and a, b the constants entering the pressure-gap and
-    block-entropy inequalities.  When the potential had to be
-    recoded to range 2 first, `recoding` maps block states back to words.
+    block-entropy inequalities.
     """
 
     shift: TransitionMatrix
@@ -146,7 +144,6 @@ class PerronData:
     eigennorm: float
     a: float
     b: float
-    recoding: Recoding | None = None
 
     @cached_property
     def _step_norms(self) -> dict:
@@ -187,11 +184,7 @@ def _gap_prefactor(p: np.ndarray, q: np.ndarray, pi: np.ndarray, kappa: float) -
     return c
 
 
-def perron_data(
-    shift: TransitionMatrix,
-    phi: LocallyConstantFunction,
-    recoding: Recoding | None = None,
-) -> PerronData:
+def perron_data(shift: TransitionMatrix, phi: LocallyConstantFunction) -> PerronData:
     """Full eigendata of the transfer matrix of a range <= 2 potential.
 
     Normalization: h is scaled so max(h)*min(h) = 1 and nu so that the
@@ -252,7 +245,6 @@ def perron_data(
         eigennorm=eigennorm,
         a=a,
         b=(1.0 / math.sqrt(2.0) + math.sqrt(2.0)) * a,
-        recoding=recoding,
     )
 
 
@@ -260,8 +252,8 @@ def equilibrium(phi: LocallyConstantFunction) -> PerronData:
     """PerronData of any finite-range potential, recoding to range 2 if needed."""
     if phi.depth <= 2:
         return perron_data(phi.base, phi)
-    g, rec = recode_to_markovian(phi)
-    return perron_data(g.base, g, recoding=rec)
+    g = recode_to_markovian(phi)[0]
+    return perron_data(g.base, g)
 
 
 def pressure(phi: LocallyConstantFunction) -> float:
@@ -297,8 +289,6 @@ def partition_sum(
     reads the diagonal entry of B^n.  Both are returned; the caller judges
     their agreement.  A sum that overflows a float raises ValueError.
     """
-    if phi.depth > 2:
-        raise ValueError("partition sums need a potential of range at most 2")
     a = shift.index(state) if not isinstance(state, (int, np.integer)) else int(state)
     if n < 1:
         raise ValueError("period must be at least 1")
@@ -336,8 +326,6 @@ def gurevich_estimate(
     Rows where the diagonal entry vanishes (short return times) are skipped;
     a diagonal entry past the float range raises ValueError naming its n.
     """
-    if phi.depth > 2:
-        raise ValueError("needs a potential of range at most 2")
     a = shift.index(state) if not isinstance(state, (int, np.integer)) else int(state)
     b = transfer_matrix(shift, phi)
     logp = math.log(_spectrum(b)[0])

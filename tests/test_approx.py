@@ -27,7 +27,13 @@ from thermoshift.shift import (
     is_topologically_mixing,
 )
 from thermoshift.systems import BUILTIN_SYSTEMS, builtin_shift, builtin_system
-from thermoshift.transfer import edge_values, perron_data, transfer_matrix
+from thermoshift.transfer import (
+    edge_values,
+    gurevich_estimate,
+    partition_sum,
+    perron_data,
+    transfer_matrix,
+)
 
 
 # --- countable models -------------------------------------------------------
@@ -555,8 +561,6 @@ class OracleOrbitMeasure(NamedTuple):
 
 
 def orbit_measure_oracle(shift, phi, k):
-    if phi.depth > 2:
-        raise ValueError("needs a potential of range at most 2")
     if k < 1:
         raise ValueError("period must be at least 1")
     b = transfer_matrix(shift, phi)
@@ -662,6 +666,24 @@ def test_family_refusals_match_one_period_measures():
         want = refusal(orbit_measure_oracle, shift, phi, bad)
         assert refusal(periodic_orbit_measure, shift, phi, bad) == want
         assert family_refusal(shift, phi, periods) == (done, want)
+
+
+def test_long_ranges_meet_the_one_transfer_matrix_refusal():
+    # every range-2 route reaches the edge words before a table entry
+    shift, phi = builtin_system("full2-bernoulli")
+    data = perron_data(shift, phi)
+    long_range = random_function(shift, 3, np.random.default_rng(71))
+    routes = [
+        (partition_sum, shift, long_range, 0, 3),
+        (gurevich_estimate, shift, long_range, 0, 3),
+        (periodic_orbit_measure, shift, long_range, 3),
+        (stability_bound, data, long_range, phi),
+    ]
+    for fn, *args in routes:
+        assert refusal(fn, *args) == (
+            ValueError,
+            "transfer matrix needs a potential of range at most 2",
+        ), fn.__name__
 
 
 def test_family_checks_the_trace_at_every_period(monkeypatch):

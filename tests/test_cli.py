@@ -941,7 +941,95 @@ def test_partition_sums_refuse_a_range_3_potential(tmp_path, capsys):
         'value "aab" = 0.5\n[experiment]\nkind = partition-sums\n'
     )
     assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "partition sums need a potential of range at most 2" in capsys.readouterr().err
+    message = "line 3: partition-sums takes a [potential] of range at most 2, got range 3"
+    assert message in capsys.readouterr().err
+
+
+def refuse_every_solve(monkeypatch):
+    def solve(*args):
+        raise AssertionError("a refused config reached a solve")
+
+    for name in ("equilibrium", "perron_data", "run_experiment"):
+        monkeypatch.setattr(cli, name, solve)
+
+
+RANGE_3 = '[potential]\nrange = 3\ndefault = 0.1\nvalue "aab" = -0.2\n'
+
+
+@pytest.mark.parametrize(
+    "sections, kind, message",
+    [
+        (RANGE_3, "corollary2", "line 3: corollary2 takes a [potential] of range at most 2"),
+        (RANGE_3, "partition-sums", "line 3: partition-sums takes a [potential] of range at most 2"),
+        (
+            RANGE_3.replace("potential", "perturbation"),
+            "corollary3",
+            "line 3: corollary3 takes a [perturbation] of range at most 2",
+        ),
+        (
+            PERTURBATION + RANGE_3,
+            "corollary3",
+            "line 7: corollary3 takes a [potential] of range at most 2",
+        ),
+    ],
+    ids=["corollary2", "partition-sums", "corollary3-perturbation", "corollary3-potential"],
+)
+def test_long_ranges_are_refused_at_their_section_before_any_solve(
+    tmp_path, capsys, monkeypatch, sections, kind, message
+):
+    refuse_every_solve(monkeypatch)
+    cfg = tmp_path / "range3.cfg"
+    cfg.write_text(f"[shift]\nbuiltin = full-2\n{sections}[experiment]\nkind = {kind}\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{message}, got range 3\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "sections, experiment",
+    [
+        (RANGE_3, "kind = pressure"),
+        (RANGE_3, "kind = theorem1\ntrials = 2"),
+        # the limit is on potentials: a range-3 observable still runs
+        ("[observable f]\nrange = 3\ndefault = 0.5\n", "kind = corollary3\ntrials = 2"),
+    ],
+    ids=["pressure", "theorem1", "corollary3-observable"],
+)
+def test_long_ranges_run_where_the_kind_takes_them(tmp_path, sections, experiment):
+    cfg = tmp_path / "range3.cfg"
+    cfg.write_text(f"[shift]\nbuiltin = full-2\n{sections}[experiment]\n{experiment}\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "shift, kind, message",
+    [
+        ("model = geometric(0.5)", "pressure", "line 2: experiment 'pressure' needs a finite shift and potential"),
+        ("model = zeta(2)", "theorem2", "line 2: experiment 'theorem2' needs a finite shift and potential"),
+        ("model = zeta(2)", "partition-sums", "line 2: experiment 'partition-sums' needs a finite shift"),
+        ("model = zeta(2)", "corollary3", "line 2: experiment 'corollary3' needs a finite shift"),
+        ("system = golden-range2", "corollary1", "line 2: corollary1 needs a countable model in [shift]"),
+        ("builtin = full-2", "corollary1", "line 2: corollary1 needs a countable model in [shift]"),
+        ("states = a b\nedges = ab ba bb", "corollary1", "line 2: corollary1 needs a countable model"),
+        ("", "pressure", "error: experiment 'pressure' needs a [shift] section"),
+        ("", "corollary1", "error: experiment 'corollary1' needs a [shift] section"),
+        ("", "corollary2", "error: experiment 'corollary2' needs a [shift] section"),
+    ],
+    ids=[
+        *(f"{kind}-on-model" for kind in ("pressure", "theorem2", "partition-sums", "corollary3")),
+        *(f"corollary1-on-{source}" for source in ("system", "builtin", "states")),
+        *(f"{kind}-no-shift" for kind in ("pressure", "corollary1", "corollary2")),
+    ],
+)
+def test_sources_a_kind_does_not_run_on_are_refused_at_their_line(
+    tmp_path, capsys, monkeypatch, shift, kind, message
+):
+    refuse_every_solve(monkeypatch)
+    cfg = tmp_path / "source.cfg"
+    head = f"[shift]\n{shift}\n" if shift else ""
+    cfg.write_text(f"{head}[experiment]\nkind = {kind}\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_identities_accepts_and_ignores_a_shift_section(tmp_path, capsys):

@@ -972,12 +972,14 @@ def test_shift_caches_match_fresh_computations():
         shifts[0]._components[1][0] = 5
 
 
-def test_word_count_cap_is_still_checked_on_every_call():
+def test_word_count_cap_is_still_checked_on_every_call(monkeypatch):
     shift = builtin_system("full2-zero")[0]
-    assert len(enumerate_words(shift, 4, cap=16)) == 16
+    monkeypatch.setattr(shift_module, "WORD_CAP", 16)
+    assert len(enumerate_words(shift, 4)) == 16
+    monkeypatch.setattr(shift_module, "WORD_CAP", 15)
     for _ in range(2):
         with pytest.raises(EnumerationLimitError, match="about 16 words of length 4, cap is 15"):
-            enumerate_words(shift, 4, cap=15)
+            enumerate_words(shift, 4)
 
 
 def test_cached_integrals_and_norms_match_fresh_calls():

@@ -196,7 +196,7 @@ def test_equilibrium_recodes_long_range():
     shift = builtin_shift("golden-mean")
     phi = random_function(shift, 3, np.random.default_rng(31))
     data = equilibrium(phi)
-    assert data.recoding is not None
+    assert data.shift.n == 3  # the 2-block shift of golden-mean: aa, ab, ba
     assert data.phi.depth == 2
     # pressure is intrinsic: adding a constant survives the recode roundtrip
     assert pressure(phi.plus_constant(1.0)) == pytest.approx(
