@@ -50,7 +50,9 @@ def hurwitz_zeta(x: float, q: float) -> float:
     asymptotic expansion (DLMF 25.11.43); otherwise a direct sum until
     q + i > 9 (at least nine terms, stopping early once a term is below
     MACHEP of the sum), then Euler-Maclaurin with up to twelve Bernoulli
-    terms, stopping once a correction is below MACHEP of the sum.
+    terms, stopping once a correction is below MACHEP of the sum.  Where
+    every term so far underflows, s = 0.0 and the stopping test reads 0/0 as
+    nan in C, which fails it; the port fails it the same way, and returns 0.0.
     """
     if not (x > 1.0 and q > 0.0):
         raise ValueError("hurwitz_zeta needs x > 1 and q > 0")
@@ -65,7 +67,7 @@ def hurwitz_zeta(x: float, q: float) -> float:
         a += 1.0
         b = a**-x
         s += b
-        if abs(b / s) < _MACHEP:
+        if s and abs(b / s) < _MACHEP:
             return s
     w = a
     s += b * w / (x - 1.0)
@@ -77,7 +79,7 @@ def hurwitz_zeta(x: float, q: float) -> float:
         b /= w
         t = a * b / coeff
         s += t
-        if abs(t / s) < _MACHEP:
+        if s and abs(t / s) < _MACHEP:
             return s
         k += 1.0
         a *= x + k
@@ -160,9 +162,15 @@ class FiniteSubsystem:
 def truncate(model: CountableModel, n: int) -> FiniteSubsystem:
     if n < 2:
         raise ValueError("truncations start at 2 states")
+    weights = [model.weight(s) for s in range(1, n + 1)]
+    if 0.0 in weights:
+        raise ValueError(
+            f"state {weights.index(0.0) + 1} of {model.family}({model.param:g}) has a "
+            "weight that underflows to 0.0, so its potential is not finite"
+        )
     labels = [str(s) for s in range(1, n + 1)]
     shift = build_sft(labels, [(u, v) for u in labels for v in labels])
-    table = {(i,): math.log(model.weight(i + 1)) for i in range(n)}
+    table = {(i,): math.log(w) for i, w in enumerate(weights)}
     phi = LocallyConstantFunction(base=shift, depth=1, table=table)
     return FiniteSubsystem(
         model=model,

@@ -50,7 +50,7 @@ from .measures import (
     random_markov_measure,
 )
 from .potential import DEFAULT_THETA, LocallyConstantFunction, add, random_function
-from .shift import TransitionMatrix, build_sft
+from .shift import TransitionMatrix, build_sft, check_word_count
 from .systems import BUILTIN_SHIFTS, BUILTIN_SYSTEMS, builtin_shift, builtin_system
 from .transfer import (
     equilibrium,
@@ -256,8 +256,9 @@ class ExperimentConfig:
 
 
 def _build_function(
-    shift: TransitionMatrix, section: _Section, theta: float
+    shift: TransitionMatrix, section: _Section, theta: float, kind: str
 ) -> LocallyConstantFunction:
+    """The section's table, its range checked against the kind's before any word is listed."""
     entries = []  # (word, spelling, line, value) per value entry
     depth = None
     default = None
@@ -280,6 +281,10 @@ def _build_function(
         if len(w) != depth:
             raise ConfigError(f"word {spelling!r} has length {len(w)}, range is {depth}", lineno)
         values[tuple(shift.states[i] for i in w)] = number
+    limit = _KINDS[kind].sections[section.kind]
+    if depth > limit:
+        message = f"{kind} takes a [{section.kind}] of range at most {limit}"
+        raise ConfigError(f"{message}, got range {depth}", section.line)
     build = LocallyConstantFunction.from_values
     return _at_line(section.line, build, shift, depth, values, default=default, theta=theta)
 
@@ -337,7 +342,10 @@ def parse_config(text: str) -> ExperimentConfig:
             f"unknown experiment kind {kind!r}; have {', '.join(_KINDS)}",
             kind_entry[1],
         )
-    reads = {"seed": _integer, "out": _text, **_KINDS[kind].keys}
+    sections_read = _KINDS[kind].sections
+    reads = {"seed": _at_least(0, _integer), "out": _text, **_KINDS[kind].keys}
+    if "observable" in sections_read:
+        reads["observable"] = _text
     for key, (value, lineno) in exp_plain.items():
         if key not in reads:
             raise ConfigError(
@@ -371,14 +379,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
     shift = phi = model = None
     if source == "system":
-        if pot_sec:
-            raise ConfigError("a builtin system already fixes the potential", pot_sec[0].line)
         shift, phi = _at_line(lineno, builtin_system, value, theta)
     elif source == "builtin":
         shift = _at_line(lineno, builtin_shift, value)
     elif source == "model":
-        if pot_sec:
-            raise ConfigError("a countable model already fixes its weights", pot_sec[0].line)
         model = _parse_model(value, lineno)
     elif source == "states":
         edges_value, elineno = plain["edges"]
@@ -392,51 +396,40 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"cannot parse edge {token!r}", elineno)
             edges.append((u, v))
         shift = _at_line(lineno, build_sft, value.split(), edges)
-
-    if shift is not None and phi is None:
-        if pot_sec:
-            phi = _build_function(shift, pot_sec[0], theta)
-        else:
-            phi = LocallyConstantFunction.zero(shift, theta=theta)
-    perturbation = None
-    if pert_sec:
-        if shift is None:
-            raise ConfigError("perturbation needs a finite shift", pert_sec[0].line)
-        perturbation = _build_function(shift, pert_sec[0], theta)
-
-    observables = {}
-    for s in obs_secs:
-        if s.name is None:
-            raise ConfigError("observable sections need a name", s.line)
-        if s.name in observables:
-            raise ConfigError(f"duplicate observable {s.name!r}", s.line)
-        if model is not None:
-            observables[s.name] = _build_model_observable(s)
-        elif shift is None:
-            raise ConfigError("observable before any shift", s.line)
-        else:
-            observables[s.name] = _build_function(shift, s, theta)
-
-    if "observable" in params and params["observable"] not in observables:
+    if "observable" in params and params["observable"] not in [s.name for s in obs_secs]:
         raise ConfigError(
             f"experiment references undefined observable {params['observable']!r}",
             exp_plain["observable"][1],
         )
     if "state" in params:
         _at_line(exp_plain["state"][1], shift.index, params["state"])
-    # sections the kind would build and then drop, refused after every
-    # [experiment] value has been read
-    if pot_sec and kind == "identities":
-        raise ConfigError("identities does not read a [potential] section", pot_sec[0].line)
-    if pert_sec and kind != "corollary3":
-        raise ConfigError(f"{kind} does not read a [perturbation] section", pert_sec[0].line)
-    if obs_secs and "observable" not in _KINDS[kind].keys:
-        raise ConfigError(f"{kind} does not read [observable] sections", obs_secs[0].line)
-    limit = _KINDS[kind].max_range
-    for sec, function in ((pot_sec, phi), (pert_sec, perturbation)):
-        if sec and function.depth > limit:
-            message = f"{kind} takes a [{sec[0].kind}] of range at most {limit}"
-            raise ConfigError(f"{message}, got range {function.depth}", sec[0].line)
+    # sections the run does not read, refused after every [experiment] value
+    # has been read and before any table is built; a system or a model fixes
+    # its own weights
+    for s in (*pot_sec, *pert_sec, *obs_secs):
+        if s.kind == "potential" and source == "system":
+            raise ConfigError("a builtin system already fixes the potential", s.line)
+        if s.kind == "potential" and source == "model":
+            raise ConfigError("a countable model already fixes its weights", s.line)
+        if s.kind not in sections_read:
+            what = "[observable] sections" if s.kind == "observable" else f"a [{s.kind}] section"
+            raise ConfigError(f"{kind} does not read {what}", s.line)
+
+    if shift is not None and phi is None:
+        if pot_sec:
+            phi = _build_function(shift, pot_sec[0], theta, kind)
+        else:
+            phi = LocallyConstantFunction.zero(shift, theta=theta)
+    perturbation = _build_function(shift, pert_sec[0], theta, kind) if pert_sec else None
+    observables = {}
+    for s in obs_secs:
+        if s.name is None:
+            raise ConfigError("observable sections need a name", s.line)
+        if s.name in observables:
+            raise ConfigError(f"duplicate observable {s.name!r}", s.line)
+        observables[s.name] = (
+            _build_model_observable(s) if model else _build_function(shift, s, theta, kind)
+        )
 
     return ExperimentConfig(
         kind=kind,
@@ -560,8 +553,11 @@ def _build_gibbs(cfg: ExperimentConfig):
 def _build_partition_sums(cfg: ExperimentConfig):
     state = cfg.params.get("state", cfg.shift.states[0])
     n_range = cfg.params.get("n", range(1, 13))
-    # the sums first: a period past the float range is refused by them, with
-    # both routes in the message, before the estimates read their diagonal
+    # every period by word count, before any words are listed; then the sums:
+    # a period past the float range is refused by them, with both routes in
+    # the message, before the estimates read their diagonal
+    for n in n_range:
+        check_word_count(cfg.shift, n)
     sums = [partition_sum(cfg.shift, cfg.phi, state, n) for n in n_range]
     estimates = gurevich_estimate(cfg.shift, cfg.phi, state, max(n_range))
     gur = {n: (value, residual) for n, value, residual in estimates}
@@ -688,6 +684,8 @@ def _build_identities(cfg: ExperimentConfig):
         records.append((name, "orbit-entropy", _worst(orbit), IDENTITY_TOL))
         records.append((name, "orbit-trace", _worst(trace), IDENTITY_TOL))
 
+        for n in range(1, n_max + 1):  # every period by count, before any is listed
+            check_word_count(shift, n)
         routes = [
             partition_sum(shift, phi, shift.states[0], n).rel_err
             for n in range(1, n_max + 1)
@@ -731,7 +729,8 @@ class _Kind(NamedTuple):
     build: Callable  # ExperimentConfig -> (reports, rows)
     checks: Callable  # reports -> list of Check
     runs_on: tuple = _FINITE  # the [shift] sources it takes, None for no [shift]
-    max_range: float = math.inf  # the largest range of [potential], [perturbation]
+    # the optional sections it reads -> the longest range of each
+    sections: dict = {"potential": math.inf}
 
 
 _KINDS = {
@@ -766,7 +765,7 @@ _KINDS = {
         lambda sums: [
             _deviation_check("route-agreement", "relative", (ps.rel_err for ps in sums))
         ],
-        max_range=2,
+        sections={"potential": 2},
     ),
     "theorem1": _Kind(
         {"trials": _count, "f-range": _count, "theta": _theta},
@@ -788,14 +787,15 @@ _KINDS = {
         ],
     ),
     "corollary1": _Kind(
-        {"n": _size, "observable": _text},
+        {"n": _size},
         "n,pressure_gap,lhs,rhs,slack,vacuous",
         _build_corollary1,
         lambda reports: [_slack_check(reports, "min non-vacuous slack")],
         runs_on=("model",),
+        sections={"observable": math.inf},
     ),
     "corollary2": _Kind(
-        {"k": _period, "n": _truncation, "observable": _text, "theta": _theta},
+        {"k": _period, "n": _truncation, "theta": _theta},
         "k,lhs,rhs,slack,pre_asymptotic,combined_lhs,combined_rhs,identity_dev",
         _build_corollary2,
         lambda reports: [
@@ -804,17 +804,17 @@ _KINDS = {
             _deviation_check("orbit-trace", "trace", (r.terms["trace_dev"] for r in reports)),
         ],
         runs_on=(*_FINITE, "model"),
-        max_range=2,
+        sections={"potential": 2, "observable": math.inf},
     ),
     "corollary3": _Kind(
-        {"trials": _count, "max-diff": _real, "observable": _text, "theta": _theta},
+        {"trials": _count, "max-diff": _real, "theta": _theta},
         "trial,seed,sup_diff,lhs,rhs,slack,identity_residual",
         _build_corollary3,
         lambda reports: [
             _slack_check(reports, "min slack"),
             _identity_check("exchange-identity", reports),
         ],
-        max_range=2,
+        sections={"potential": 2, "perturbation": 2, "observable": math.inf},
     ),
     "identities": _Kind(
         {"trials": _count, "k-max": _count, "n-max": _count},
@@ -825,6 +825,7 @@ _KINDS = {
             for system, check, value, tol in records
         ],
         runs_on=(*_FINITE, "model", None),
+        sections={},
     ),
 }
 
@@ -859,6 +860,8 @@ def main(argv=None) -> int:
         "--list-builtins", action="store_true", help="list builtin shifts and systems"
     )
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be at least 0, got {args.seed}")
 
     if args.list_builtins:
         for name in sorted(BUILTIN_SHIFTS):

@@ -370,6 +370,8 @@ def gibbs_certificate(data: PerronData, n_max: int) -> GibbsCertificate:
         raise ValueError("n_max must be at least 1")
     r = data.phi.depth
     shift, measure, phi, pres = data.shift, data.measure, data.phi, data.pressure
+    for n in range(1, n_max + 1):  # every length by count, before any is listed
+        check_word_count(shift, n)
     kernel = measure._rows
     # each step also carries its kernel entry, for the running cylinder mass
     steps = [[(j, t, kernel[i][j]) for j, t in row] for i, row in enumerate(_steps(shift, phi))]
@@ -379,7 +381,6 @@ def gibbs_certificate(data: PerronData, n_max: int) -> GibbsCertificate:
     # (word, m([word]), Birkhoff sum over its steps), in lexicographic order
     level = [((i,), measure._pi[i], 0.0) for i in range(shift.n)]
     for n in range(1, n_max + 1):
-        check_word_count(shift, n)
         if n > 1:
             level = [
                 (w + (j,), 0.0 if m == 0.0 else m * pij, s + t)

@@ -1,4 +1,5 @@
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -242,6 +243,26 @@ def test_hurwitz_zeta_pinned(x, q, expected):
 @pytest.mark.parametrize("x, exact", [(2.0, math.pi**2 / 6.0), (4.0, math.pi**4 / 90.0)])
 def test_hurwitz_zeta_riemann_values(x, exact):
     assert abs(hurwitz_zeta(x, 1.0) - exact) <= 2 * math.ulp(exact)
+
+
+def test_hurwitz_zeta_returns_zero_where_every_term_underflows():
+    # Cephes' stopping test reads 0/0 as nan there, which fails it, and so
+    # it sums on to 0.0; a term that does not underflow keeps its bits
+    assert hurwitz_zeta(1100.0, 3.0) == 0.0
+    assert hurwitz_zeta(1100.0, 1.0) == 1.0
+    assert zeta_model(1100.0).tail(1) == 0.0
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (zeta_model(1100.0), "state 2 of zeta(1100) has a weight that underflows to 0.0"),
+        (geometric_model(1e-160), "state 3 of geometric(1e-160) has a weight that underflows"),
+    ],
+)
+def test_truncate_refuses_a_weight_that_underflows(model, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        truncate(model, 6)
 
 
 def test_hurwitz_zeta_domain():

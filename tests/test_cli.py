@@ -821,6 +821,20 @@ def test_sections_a_kind_reads_still_run(tmp_path, capsys):
             "line 3: a countable model already fixes its weights",
         ),
         (
+            "[shift]\nsystem = golden-range2\n[potential]\ndefault = 1.0\n"
+            "[experiment]\nkind = identities\n",
+            "line 3: a builtin system already fixes the potential",
+        ),
+        (
+            "[shift]\nsystem = nope\n[potential]\ndefault = 1.0\n[experiment]\nkind = pressure\n",
+            "line 2: unknown system 'nope'",
+        ),
+        (
+            "[shift]\nmodel = zeta(0.5)\n[potential]\ndefault = 1.0\n"
+            "[experiment]\nkind = corollary1\n",
+            "line 2: alpha must exceed 1",
+        ),
+        (
             "[potential]\ndefault = 1.0\n[experiment]\nkind = identities\n",
             "line 1: identities does not read a [potential] section",
         ),
@@ -864,6 +878,9 @@ def test_sections_a_kind_reads_still_run(tmp_path, capsys):
         "scale",
         "two-argument-model",
         "potential-under-model",
+        "potential-beside-system-on-identities",
+        "unknown-system-before-its-potential",
+        "bad-model-before-its-potential",
         "potential-on-identities",
         "potential-on-identities-with-shift",
         "potential-theta",
@@ -953,6 +970,13 @@ def refuse_every_solve(monkeypatch):
         monkeypatch.setattr(cli, name, solve)
 
 
+def refuse_every_table(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("a section's table was built")
+
+    monkeypatch.setattr(cli.LocallyConstantFunction, "from_values", build)
+
+
 RANGE_3 = '[potential]\nrange = 3\ndefault = 0.1\nvalue "aab" = -0.2\n'
 
 
@@ -978,6 +1002,7 @@ def test_long_ranges_are_refused_at_their_section_before_any_solve(
     tmp_path, capsys, monkeypatch, sections, kind, message
 ):
     refuse_every_solve(monkeypatch)
+    refuse_every_table(monkeypatch)
     cfg = tmp_path / "range3.cfg"
     cfg.write_text(f"[shift]\nbuiltin = full-2\n{sections}[experiment]\nkind = {kind}\n")
     assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -999,6 +1024,81 @@ def test_long_ranges_run_where_the_kind_takes_them(tmp_path, sections, experimen
     cfg = tmp_path / "range3.cfg"
     cfg.write_text(f"[shift]\nbuiltin = full-2\n{sections}[experiment]\n{experiment}\n")
     assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "sections, kind, message",
+    [
+        ("[potential]\ndefault = 0.1\n", "identities", "identities does not read a [potential]"),
+        (PERTURBATION, "pressure", "pressure does not read a [perturbation] section"),
+        (OCCUPATION, "gibbs", "gibbs does not read [observable] sections"),
+    ],
+    ids=["potential-identities", "perturbation-pressure", "observable-gibbs"],
+)
+def test_unread_sections_are_refused_before_any_table_is_built(
+    tmp_path, capsys, monkeypatch, sections, kind, message
+):
+    refuse_every_table(monkeypatch)
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text(f"[shift]\nbuiltin = full-2\n{sections}[experiment]\nkind = {kind}\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: line 3: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "shift, experiment",
+    [
+        ("system = full2-zero", "kind = gibbs\nn-max = 25"),
+        ("system = full2-zero", "kind = partition-sums\nn = 1..30"),
+        ("", "kind = identities\ntrials = 1\nk-max = 3\nn-max = 60"),
+    ],
+    ids=["gibbs", "partition-sums", "identities"],
+)
+def test_word_cap_is_refused_before_any_word_is_listed(
+    tmp_path, capsys, monkeypatch, shift, experiment
+):
+    # both routes that list words grow them from the potential's steps
+    def steps(*args):
+        raise AssertionError("words were listed before every length was counted")
+
+    monkeypatch.setattr(transfer, "_steps", steps)
+    cfg = tmp_path / "cap.cfg"
+    head = f"[shift]\n{shift}\n" if shift else ""
+    cfg.write_text(f"{head}[experiment]\n{experiment}\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: about 1.68e+07 words of length 24, cap is 10000000\n"
+
+
+def test_weights_that_underflow_answer_or_are_refused(tmp_path, capsys):
+    one = tmp_path / "one.cfg"
+    one.write_text("[shift]\nmodel = zeta(1100)\n[experiment]\nkind = corollary1\n")
+    assert run_main(["run", str(one), "--out", str(tmp_path / "out")]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+    for model, state in (("zeta(1100)", 2), ("geometric(1e-160)", 3)):
+        two = tmp_path / "two.cfg"
+        two.write_text(f"[shift]\nmodel = {model}\n[experiment]\nkind = corollary2\n")
+        assert run_main(["run", str(two), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: state {state} of {model} has a weight" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["pressure", "gibbs", "partition-sums", "identities"])
+def test_negative_seed_is_refused_at_its_line(tmp_path, capsys, monkeypatch, kind):
+    refuse_every_solve(monkeypatch)
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(f"[shift]\nbuiltin = full-2\n[experiment]\nkind = {kind}\nseed = -1\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "error: line 5: seed must be at least 0, got -1" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_refused(tmp_path, capsys, monkeypatch):
+    refuse_every_solve(monkeypatch)
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("[shift]\nbuiltin = full-2\n[experiment]\nkind = pressure\n")
+    with pytest.raises(SystemExit) as exc:
+        run_main(["run", str(cfg), "--seed", "-3"])
+    assert exc.value.code == 2
+    assert "--seed must be at least 0, got -3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
