@@ -25,7 +25,6 @@ from .measures import (
     reverse_kernel,
 )
 from .potential import LocallyConstantFunction
-from .shift import enumerate_words
 from .transfer import PerronData
 
 CLIP_TOL = 1e-10
@@ -68,21 +67,9 @@ def _check_bases(data: PerronData, mu: MarkovMeasure, f: LocallyConstantFunction
 def reduction_step_norms(data: PerronData, depth: int):
     """Sup-operator norms of the averaging steps taking range-k tables to
     range-(k-1) tables, k = depth..2.  Each step averages over admissible
-    one-symbol pasts with the reversed-kernel weights, so the norms come out
-    exactly 1; they are computed rather than assumed, once per k and
-    PerronData."""
-    known = data._step_norms
-    missing = [k for k in range(depth, 1, -1) if k not in known]
-    if missing:
-        q = reverse_kernel(data.measure).tolist()
-        rows = data.shift._rows
-        for k in missing:
-            worst = 0.0
-            for w in enumerate_words(data.shift, k - 1):
-                row = sum(abs(q[w[0]][s]) for s in range(data.shift.n) if rows[s][w[0]])
-                worst = max(worst, row)
-            known[k] = worst
-    return [known[k] for k in range(depth, 1, -1)]
+    one-symbol pasts with the reversed-kernel weights, so every step has the
+    norm ``data.step_norm``, which is 1 up to rounding."""
+    return [data.step_norm] * (depth - 1)
 
 
 def gibbs_report(
@@ -103,7 +90,7 @@ def gibbs_report(
     steps reducing f to range 1.  The right side is inf when vacuous, and the
     radicand is then not read.  Every such report carries the same constants:
     ``name``, c, kappa, eigennorm and reduction_norms."""
-    steps = reduction_step_norms(data, f.depth) if f.depth > 1 else []
+    steps = reduction_step_norms(data, f.depth)
     eff = getattr(data, name)
     for s in steps:
         eff *= s

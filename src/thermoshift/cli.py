@@ -50,7 +50,7 @@ from .measures import (
     random_markov_measure,
 )
 from .potential import DEFAULT_THETA, LocallyConstantFunction, add, random_function
-from .shift import TransitionMatrix, build_sft, check_word_count
+from .shift import TransitionMatrix, build_sft, check_state_count, check_word_count
 from .systems import BUILTIN_SHIFTS, BUILTIN_SYSTEMS, builtin_shift, builtin_system
 from .transfer import (
     equilibrium,
@@ -61,8 +61,6 @@ from .transfer import (
 )
 
 IDENTITY_TOL = 1e-10
-# values of theorem2's form key, which picks the inequalities it reports
-_FORMS = ("general", "markov", "both")
 _FINITE = ("system", "builtin", "states")  # the [shift] sources besides model
 
 
@@ -194,12 +192,6 @@ _period = _at_least(3, _span)
 _truncation = _at_least(2, _integer)
 
 
-def _form(key: str, value: str, lineno: int) -> str:
-    if value not in _FORMS:
-        raise ConfigError(f"unknown form {value!r}", lineno)
-    return value
-
-
 def _theta(key: str, value: str, lineno: int) -> float:
     theta = _real(key, value, lineno)
     if not 0.0 < theta < 1.0:
@@ -285,6 +277,8 @@ def _build_function(
     if depth > limit:
         message = f"{kind} takes a [{section.kind}] of range at most {limit}"
         raise ConfigError(f"{message}, got range {depth}", section.line)
+    if section.kind == "potential" and depth > 2:  # equilibrium recodes it
+        _at_line(section.line, check_state_count, shift, depth - 1)
     build = LocallyConstantFunction.from_values
     return _at_line(section.line, build, shift, depth, values, default=default, theta=theta)
 
@@ -586,9 +580,7 @@ def _build_theorem2(cfg: ExperimentConfig):
     data = equilibrium(cfg.phi)
     trials = cfg.params.get("trials", 20)
     n_range = cfg.params.get("n", range(1, 13))
-    form = cfg.params.get("form", "both")
     ell = next(k for k in range(1, data.phi.depth + 1) if data.phi.variation(k) == 0.0)
-    ell = cfg.params.get("ell", ell)
     reports = []
     given = []
     for trial in range(trials):
@@ -596,10 +588,9 @@ def _build_theorem2(cfg: ExperimentConfig):
         mu = random_markov_measure(data.shift, rng)
         f = random_function(data.shift, int(rng.integers(1, 3)), rng, theta=cfg.phi.theta)
         for n in n_range:
-            if form in ("general", "both"):
-                reports.append(finitary_gap_bound(data, mu, f, n))
-                given.append({"form": "general", "trial": trial, "n": n, "ell": 0})
-            if form in ("markov", "both") and n >= 3 * ell:
+            reports.append(finitary_gap_bound(data, mu, f, n))
+            given.append({"form": "general", "trial": trial, "n": n, "ell": 0})
+            if n >= 3 * ell:
                 reports.append(block_entropy_gap_bound(data, mu, f, n, ell))
                 given.append({"form": "markov", "trial": trial, "n": n, "ell": ell})
     rows = [
@@ -774,7 +765,7 @@ _KINDS = {
         lambda reports: [_slack_check(reports, "min slack")],
     ),
     "theorem2": _Kind(
-        {"trials": _count, "n": _size, "form": _form, "ell": _count, "theta": _theta},
+        {"trials": _count, "n": _size, "theta": _theta},
         "form,trial,seed,n,ell,radicand,lhs,rhs,slack,vacuous",
         _build_theorem2,
         lambda reports: [

@@ -14,6 +14,9 @@ from functools import cached_property
 import numpy as np
 
 WORD_CAP = 10_000_000
+# dense matrices over more states than this take too long and too much memory
+# to solve; range 11 on the full 2-shift recodes to exactly this many
+STATE_CAP = 1024
 
 
 class EmptyShiftError(ValueError):
@@ -258,6 +261,16 @@ def check_word_count(shift: TransitionMatrix, n: int):
         )
 
 
+def check_state_count(shift: TransitionMatrix, length: int = 1):
+    """Refuse, before anything is built over them, more than STATE_CAP states:
+    the shift's own (length 1), or its admissible length-words, the states of
+    its recoding to range length + 1."""
+    count = _count_words(shift, length)
+    if count > STATE_CAP:
+        what = "the shift has" if length == 1 else f"range {length + 1} recodes to"
+        raise ValueError(f"{what} {count:.0f} states, the dense-solve limit is {STATE_CAP}")
+
+
 def enumerate_words(shift: TransitionMatrix, n: int) -> list:
     """All admissible words of length n, in lexicographic index order."""
     if n < 1:
@@ -343,6 +356,7 @@ def higher_block_recode(shift: TransitionMatrix, ell: int) -> Recoding:
     """
     if ell < 2:
         raise ValueError("block length must be at least 2")
+    check_state_count(shift, ell - 1)
     blocks = enumerate_words(shift, ell - 1)
     nb = len(blocks)
     # block u is followed by each admissible one-symbol extension of its tail

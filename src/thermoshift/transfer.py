@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +20,7 @@ from .potential import LocallyConstantFunction, recode_to_markovian
 from .shift import (
     NotMixingError,
     TransitionMatrix,
+    check_state_count,
     check_word_count,
     is_topologically_mixing,
 )
@@ -71,6 +72,7 @@ def edge_values(shift: TransitionMatrix, phi: LocallyConstantFunction) -> np.nda
 
 def transfer_matrix(shift: TransitionMatrix, phi: LocallyConstantFunction) -> np.ndarray:
     """Weighted adjacency B_ij = t_ij exp(phi on the edge word)."""
+    check_state_count(shift)
     b = np.zeros((shift.n, shift.n))
     for i, j, w in _edge_words(shift, phi):
         try:
@@ -124,8 +126,10 @@ class PerronData:
 
     kappa is the spectral contraction rate |lambda_2|/lambda, c a certified
     prefactor for the iterate norms, eigennorm the eigenvector ratio
-    max(h) * max(1/h), and a, b the constants entering the pressure-gap and
-    block-entropy inequalities.
+    max(h) * max(1/h), a, b the constants entering the pressure-gap and
+    block-entropy inequalities, and step_norm the sup-operator norm of one
+    averaging step with the reversed kernel (its largest row sum), the same
+    for every step that reduces a range-k table to range k - 1.
     """
 
     shift: TransitionMatrix
@@ -144,12 +148,7 @@ class PerronData:
     eigennorm: float
     a: float
     b: float
-
-    @cached_property
-    def _step_norms(self) -> dict:
-        """Norm of each range-k averaging step, keyed by k; filled on demand
-        by ``bounds.reduction_step_norms``."""
-        return {}
+    step_norm: float
 
 
 def _gap_prefactor(p: np.ndarray, q: np.ndarray, pi: np.ndarray, kappa: float) -> float:
@@ -227,6 +226,9 @@ def perron_data(shift: TransitionMatrix, phi: LocallyConstantFunction) -> Perron
             "the iterate norms cannot be certified"
         )
     eigennorm = float(np.max(h) * np.max(1.0 / h))
+    # row i of q summed in Python, in state order over the predecessors of i
+    columns = zip(*shift._rows)
+    step_norm = max(sum(map(abs, compress(row, col))) for row, col in zip(q.tolist(), columns))
     a = math.sqrt(2.0) * c / (1.0 - kappa) * eigennorm
     return PerronData(
         shift=shift,
@@ -245,6 +247,7 @@ def perron_data(shift: TransitionMatrix, phi: LocallyConstantFunction) -> Perron
         eigennorm=eigennorm,
         a=a,
         b=(1.0 / math.sqrt(2.0) + math.sqrt(2.0)) * a,
+        step_norm=step_norm,
     )
 
 

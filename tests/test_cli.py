@@ -1,13 +1,16 @@
 import dataclasses
 import math
+import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from thermoshift import approx, cli, measures, transfer
+from thermoshift import shift as shift_module
 from thermoshift.cli import ConfigError, main, parse_config
 
 GOLDEN_THEOREM1 = """
@@ -359,7 +362,8 @@ def test_import_loads_no_scipy():
         ("model = zeta(2)", "kind = corollary1\nn = 5..3", "line 6: n = 5..3 is an empty range"),
         ("model = geometric(0.5)", "kind = corollary2\nk = 9..4", "line 6: k = 9..4 is an empty range"),
         ("golden-range2", "kind = theorem1\nf-range = 0", "line 6: f-range must be at least 1, got 0"),
-        ("golden-range2", "kind = theorem2\nell = 0", "line 6: ell must be at least 1, got 0"),
+        # theorem2 derives ell from the potential and reads no ell key
+        ("golden-range2", "kind = theorem2\nell = 0", "line 6: theorem2 does not read 'ell'"),
         # sizes and periods below the floors the library holds them to
         ("golden-range2", "kind = partition-sums\nn = 0..3", "line 6: n must be at least 1, got 0..3"),
         ("golden-range2", "kind = partition-sums\nn = -2", "line 6: n must be at least 1, got -2"),
@@ -419,7 +423,8 @@ def test_identities_refuses_zero_counts(tmp_path, capsys, entry):
         ("kind = theorem2\nobservable = occ", "line 6: theorem2 does not read 'observable'"),
         ("kind = theorem1\nmeasure = occ", "line 6: theorem1 does not read 'measure'"),
         ("kind = pressure\nn = 4", "line 6: pressure does not read 'n'; it reads kind, seed"),
-        ("kind = theorem2\nform = nope", "line 6: unknown form 'nope'"),
+        # theorem2 writes both forms on every run and reads no form key
+        ("kind = theorem2\nform = nope", "line 6: theorem2 does not read 'form'"),
         ("kind = partition-sums\nstate = z", "line 6: unknown state 'z'"),
     ],
 )
@@ -1068,6 +1073,53 @@ def test_word_cap_is_refused_before_any_word_is_listed(
     assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == "error: about 1.68e+07 words of length 24, cap is 10000000\n"
+
+
+def full2_potential(depth: int, kind: str = "pressure") -> str:
+    return (
+        f"[shift]\nbuiltin = full-2\n[potential]\nrange = {depth}\ndefault = 0.1\n"
+        f"[experiment]\nkind = {kind}\n"
+    )
+
+
+@pytest.mark.parametrize("depth", [12, 23])
+@pytest.mark.parametrize("kind", ["pressure", "gibbs", "theorem1", "theorem2"])
+def test_recodings_past_the_state_cap_are_refused_at_their_section(monkeypatch, kind, depth):
+    # the recoding's states are the admissible (depth - 1)-words: 2^(depth - 1)
+    refuse_every_table(monkeypatch)
+    start = time.process_time()
+    states = 2 ** (depth - 1)
+    message = f"line 3: range {depth} recodes to {states} states, the dense-solve limit is 1024"
+    with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+        parse_config(full2_potential(depth, kind))
+    assert time.process_time() - start < 0.5
+
+
+def test_range_11_recodes_to_exactly_the_state_cap(monkeypatch):
+    refuse_every_solve(monkeypatch)
+    cfg = parse_config(full2_potential(11))
+    assert cfg.phi.depth == 11
+    assert shift_module._count_words(cfg.shift, 10) == shift_module.STATE_CAP == 1024
+
+
+def test_a_shift_past_the_state_cap_is_refused_before_any_eigensolve(
+    tmp_path, capsys, monkeypatch
+):
+    def spectrum(*args):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(transfer, "_spectrum", spectrum)
+    labels = [f"s{i}" for i in range(1025)]
+    # a 1025-cycle with one self-loop: mixing
+    edges = [f"{labels[i]}:{labels[(i + 1) % 1025]}" for i in range(1025)] + ["s0:s0"]
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(
+        f"[shift]\nstates = {' '.join(labels)}\nedges = {' '.join(edges)}\n"
+        "[experiment]\nkind = pressure\n"
+    )
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the shift has 1025 states, the dense-solve limit is 1024\n"
 
 
 def test_weights_that_underflow_answer_or_are_refused(tmp_path, capsys):

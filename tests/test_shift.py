@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermoshift import shift as shift_module
 from thermoshift.shift import (
     EmptyShiftError,
     EnumerationLimitError,
@@ -109,6 +110,19 @@ def test_higher_block_recode_golden():
     # admissible n-words of the recoded shift biject with (n+ell-2)-words
     for n in range(1, 8):
         assert len(enumerate_words(rec.new, n)) == len(enumerate_words(shift, n + 1))
+
+
+def test_higher_block_recode_counts_its_states_before_listing_them(monkeypatch):
+    shift = builtin_shift("full-2")
+    assert higher_block_recode(shift, 11).new.n == shift_module.STATE_CAP
+
+    def listing(*args):
+        raise AssertionError("blocks were listed before they were counted")
+
+    monkeypatch.setattr(shift_module, "enumerate_words", listing)
+    for ell in (12, 16):
+        with pytest.raises(ValueError, match=f"range {ell} recodes to {2 ** (ell - 1)} states"):
+            higher_block_recode(shift, ell)
 
 
 def test_recode_roundtrip():

@@ -1,15 +1,15 @@
 """The plain-Python tables behind the per-word readers, against the numpy
 per-element formulas they replaced (inlined below as oracles, compared with
 ==): admissibility, enumeration, word probabilities, cyclic Birkhoff sums,
-the reversed kernel and the gap-prefactor probe.  Likewise the word-tree
-routes of ``partition_sum`` and ``gibbs_certificate`` against the per-word
-loops, the per-measure entropy caches against a fresh dynamic program, and
-the safety of those caches.  The list-validated ``kl_divergence``, the
-table-read ``same_shift`` and the one-pass ``_recurrent_classes`` are held
-to the numpy versions they replaced the same way, and so are the gamma-row
-``random_markov_measure``, the min/max validation of measures, the per-shift
-components, mixing verdicts and word counts, the per-measure integrals and
-the per-function norms."""
+the reversed kernel, the gap-prefactor probe and the reduction-step norms.
+Likewise the word-tree routes of ``partition_sum`` and ``gibbs_certificate``
+against the per-word loops, the per-measure entropy caches against a fresh
+dynamic program, and the safety of those caches.  The list-validated
+``kl_divergence``, the table-read ``same_shift`` and the one-pass
+``_recurrent_classes`` are held to the numpy versions they replaced the same
+way, and so are the gamma-row ``random_markov_measure``, the min/max
+validation of measures, the per-shift components, mixing verdicts and word
+counts, the per-measure integrals and the per-function norms."""
 
 import math
 import pickle
@@ -164,6 +164,21 @@ def gibbs_certificate_oracle(data, n_max):
     return max(hi, 1.0 / lo), worst, worst_word
 
 
+def reduction_step_norms_oracle(data, depth):
+    """The per-word loop: for k = depth..2, the largest reversed-kernel row
+    sum over the first symbols of the admissible (k-1)-words."""
+    q = reverse_kernel(data.measure).tolist()
+    rows = data.shift._rows
+    norms = []
+    for k in range(depth, 1, -1):
+        worst = 0.0
+        for w in enumerate_words(data.shift, k - 1):
+            row = sum(abs(q[w[0]][s]) for s in range(data.shift.n) if rows[s][w[0]])
+            worst = max(worst, row)
+        norms.append(worst)
+    return norms
+
+
 def block_entropy_oracle(mu, n):
     """(value, closed form) of the block-entropy DP run from scratch."""
     pi, p = mu.initial, mu.kernel
@@ -249,11 +264,12 @@ def matches_matrix(shift):
 
 
 @st.composite
-def pruned_shifts(draw):
-    """build_sft on random edges over 2-5 states, so pruning is exercised."""
-    n = draw(st.integers(min_value=2, max_value=5))
+def pruned_shifts(draw, max_states=5):
+    """build_sft on random edges over 2-5 states (or up to max_states), so
+    pruning is exercised."""
+    n = draw(st.integers(min_value=2, max_value=max_states))
     bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-    states = "abcde"[:n]
+    states = "abcdef"[:n]
     edges = [(states[k // n], states[k % n]) for k, b in enumerate(bits) if b]
     try:
         return build_sft(states, edges)
@@ -518,21 +534,32 @@ def test_measures_with_equal_kernels_share_no_cache():
     q1, q2 = reverse_kernel(one), reverse_kernel(two)
     assert q1 is not q2 and not np.shares_memory(q1, q2)
     assert q1.tobytes() == q2.tobytes()
-    assert perron_data(*builtin_system("golden-range2"))._step_norms is not (
-        perron_data(*builtin_system("golden-range2"))._step_norms
-    )
 
 
-def test_reduction_step_norms_extend_their_cache_like_a_fresh_computation():
-    shift, phi = builtin_system("tribonacci-zero")
-    data = perron_data(shift, phi)
-    two = reduction_step_norms(data, 2)
-    three = reduction_step_norms(data, 3)
-    assert three == reduction_step_norms(perron_data(shift, phi), 3)
-    assert two == reduction_step_norms(perron_data(shift, phi), 2) == three[1:]
-    three.clear()
-    assert reduction_step_norms(data, 3) == reduction_step_norms(perron_data(shift, phi), 3)
-    assert reduction_step_norms(data, 1) == []
+def _assert_step_norms_match_oracle(data):
+    for depth in range(1, 5):
+        assert reduction_step_norms(data, depth) == reduction_step_norms_oracle(data, depth)
+
+
+def test_reduction_step_norms_match_per_word_oracle_on_builtins():
+    for name in BUILTINS:
+        _assert_step_norms_match_oracle(perron_data(*builtin_system(name)))
+
+
+@given(
+    pruned_shifts(max_states=6),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_reduction_step_norms_match_per_word_oracle(shift, depth, seed):
+    assume(is_topologically_mixing(shift))
+    phi = random_function(shift, depth, np.random.default_rng(seed))
+    try:
+        data = perron_data(shift, phi)
+    except EigensolverError:
+        assume(False)
+    _assert_step_norms_match_oracle(data)
 
 
 def test_gibbs_certificate_needs_a_word_length():
