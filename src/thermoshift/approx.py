@@ -20,7 +20,7 @@ from .bounds import BoundReport, gibbs_report
 from .measures import entropy_rate, integrate
 from .potential import LocallyConstantFunction, sup_diff
 from .shift import TransitionMatrix, build_sft, enumerate_words
-from .transfer import PerronData, edge_values, perron_data, transfer_matrix
+from .transfer import PerronData, edge_values, perron_data
 
 AMBIENT_A = math.sqrt(2.0)
 
@@ -238,10 +238,7 @@ class PeriodicOrbitMeasure:
     between the normalizer and the eigenvalue sum, for the caller to judge.
     """
 
-    base: TransitionMatrix
-    phi: LocallyConstantFunction
     k: int
-    scaled: np.ndarray  # B / rho
     power: np.ndarray  # (B / rho)^k
     log_normalizer: float
     trace: float  # tr (B / rho)^k = Z / rho^k
@@ -253,11 +250,11 @@ class PeriodicOrbitMeasure:
         points starting with the admissible m-word u carry the total weight
         (path weight of u) * (B^{k-m+1})[u_last, u_0]; f reads u cyclically
         when k < r."""
-        if not f.base.same_shift(self.base):
+        if not f.base.same_shift(self.family.base):
             raise ValueError("observable lives on a different shift")
         r, k = f.depth, self.k
         m = min(r, k)
-        closing = self.power if m == 1 else np.linalg.matrix_power(self.scaled, k - m + 1)
+        closing = self.power if m == 1 else np.linalg.matrix_power(self.family.scaled, k - m + 1)
         closing = closing.tolist()  # plain floats: the same products, no dispatch
         scaled = self.family.rows
         table = f.table
@@ -278,7 +275,7 @@ class PeriodicOrbitMeasure:
         [[B, B*phi], [0, B]]^k.  That route never uses the invariance of nu
         under rotation, so orbit_entropy_identity compares two evaluations.
         """
-        n = self.base.n
+        n = self.family.base.n
         corner = np.linalg.matrix_power(self.family.lift, self.k)[:n, n:]
         return float(self.log_normalizer - np.trace(corner) / self.trace)
 
@@ -290,52 +287,30 @@ class PeriodicOrbitMeasure:
 
 
 class _OrbitFamily:
-    """What the periodic-orbit measures of one (shift, phi) share.
+    """What the periodic-orbit measures of one potential share.
 
-    B, its eigenvalues, rho and B / rho are computed once, at the first
-    period that passes the argument checks; the tilted lift and the word
-    lists of each length once, when a measure first reads them.  Every
-    period still forms its own (B / rho)^k and makes every refusal of
+    B / rho and the ratios lambda_i / rho are formed once from the
+    PerronData, whose lam is rho and whose pressure is log rho; the tilted
+    lift and the word lists of each length once, when a measure reads them.
+    Every period still forms its own (B / rho)^k and makes every refusal of
     periodic_orbit_measure, in the same order and with the same messages.
     """
 
-    def __init__(self, shift: TransitionMatrix, phi: LocallyConstantFunction):
-        self.base = shift
-        self.phi = phi
+    def __init__(self, data: PerronData):
+        self.data = data
+        self.base = data.shift
+        self.scaled = data.matrix / data.lam
+        self.rows = self.scaled.tolist()  # B / rho as lists, for the per-word products
+        self.ratios = data.eigenvalues / data.lam
         self._words = {}
-
-    @cached_property
-    def _spectrum(self):
-        """(eigenvalues of B, rho, B / rho)."""
-        b = transfer_matrix(self.base, self.phi)
-        eigenvalues = np.linalg.eigvals(b)
-        rho = float(np.max(np.abs(eigenvalues)))
-        return eigenvalues, rho, b / rho if rho > 0.0 else b
-
-    @cached_property
-    def _ratios(self) -> np.ndarray:
-        """lambda_i / rho.  Like log rho, first formed after a period's trace
-        is seen positive and finite, so a zero or infinite rho never gets here."""
-        eigenvalues, rho, _ = self._spectrum
-        return eigenvalues / rho
-
-    @cached_property
-    def _log_rho(self) -> float:
-        return math.log(self._spectrum[1])
-
-    @cached_property
-    def rows(self) -> list:
-        """B / rho as nested lists, for the per-word products."""
-        return self._spectrum[2].tolist()
 
     @cached_property
     def lift(self) -> np.ndarray:
         """[[B/rho, (B/rho)*phi], [0, B/rho]], whose k-th power's top-right
         block sums e^{S(w)} S(w) over the period-k words, in units of rho^k."""
         n = self.base.n
-        scaled = self._spectrum[2]
-        tilted = scaled * edge_values(self.base, self.phi)
-        return np.block([[scaled, tilted], [np.zeros((n, n)), scaled]])
+        tilted = self.scaled * edge_values(self.base, self.data.phi)
+        return np.block([[self.scaled, tilted], [np.zeros((n, n)), self.scaled]])
 
     def words(self, m: int) -> list:
         """(last symbol, first symbol, edges, word) of every admissible m-word."""
@@ -349,48 +324,40 @@ class _OrbitFamily:
         """The period-k measure; see periodic_orbit_measure."""
         if k < 1:
             raise ValueError("period must be at least 1")
-        _, rho, scaled = self._spectrum
-        power = np.linalg.matrix_power(scaled, k)
+        power = np.linalg.matrix_power(self.scaled, k)
         trace = float(np.trace(power))
-        if not (math.isfinite(rho) and math.isfinite(trace)):
-            raise ValueError(
-                f"period-{k} weights are not finite: spectral radius {rho}, "
-                f"scaled trace {trace}"
-            )
+        if not math.isfinite(trace):
+            raise ValueError(f"period-{k} weights are not finite: scaled trace {trace}")
         if trace <= 0.0:
             raise ValueError(f"no periodic points of period {k}")
-        spectral = float(np.sum(self._ratios**k).real)
+        spectral = float(np.sum(self.ratios**k).real)
         return PeriodicOrbitMeasure(
-            base=self.base,
-            phi=self.phi,
             k=k,
-            scaled=scaled,
             power=power,
-            log_normalizer=k * self._log_rho + math.log(trace),
+            log_normalizer=k * self.data.pressure + math.log(trace),
             trace=trace,
             trace_dev=abs(trace - spectral) / max(1.0, trace),
             family=self,
         )
 
 
-def periodic_orbit_measures(shift: TransitionMatrix, phi: LocallyConstantFunction, periods):
-    """periodic_orbit_measure(shift, phi, k) for each k of periods, in order,
-    sharing B, its eigenvalues, the tilted lift and the word lists.  Each
-    period is checked, and refused, when the iteration reaches it."""
-    family = _OrbitFamily(shift, phi)
+def periodic_orbit_measures(data: PerronData, periods):
+    """periodic_orbit_measure(data, k) for each k of periods, in order,
+    sharing B / rho, the tilted lift and the word lists.  Each period is
+    checked, and refused, when the iteration reaches it."""
+    family = _OrbitFamily(data)
     for k in periods:
         yield family.measure(k)
 
 
-def periodic_orbit_measure(
-    shift: TransitionMatrix, phi: LocallyConstantFunction, k: int
-) -> PeriodicOrbitMeasure:
-    """Atoms on all cyclically admissible k-words with Gibbs-like weights.
+def periodic_orbit_measure(data: PerronData, k: int) -> PeriodicOrbitMeasure:
+    """Atoms on all cyclically admissible k-words of data.shift with
+    Gibbs-like weights from data.phi.
 
     The normalizer tr B^k and the eigenvalue sum sum_i lambda_i^k, both in
     units of rho^k, are compared in the measure's trace_dev.
     """
-    return _OrbitFamily(shift, phi).measure(k)
+    return _OrbitFamily(data).measure(k)
 
 
 def orbit_entropy_identity(nu: PeriodicOrbitMeasure, phi: LocallyConstantFunction):
@@ -415,7 +382,7 @@ def periodic_orbit_harness(
     reports = []
     theta = data.phi.theta
     m_f = integrate(data.measure, f)
-    family = _OrbitFamily(data.shift, data.phi)
+    family = _OrbitFamily(data)
     for k in k_range:
         if k < 3:
             raise ValueError("periods below 3 have no certified form")

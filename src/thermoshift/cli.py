@@ -50,7 +50,7 @@ from .measures import (
     random_markov_measure,
 )
 from .potential import DEFAULT_THETA, LocallyConstantFunction, add, random_function
-from .shift import TransitionMatrix, build_sft, check_state_count, check_word_count
+from .shift import STATE_CAP, TransitionMatrix, build_sft, check_state_count, check_word_count
 from .systems import BUILTIN_SHIFTS, BUILTIN_SYSTEMS, builtin_shift, builtin_system
 from .transfer import (
     equilibrium,
@@ -126,6 +126,13 @@ def _plain_entries(section: _Section) -> dict:
     return out
 
 
+def _once(seen: set, entry, what: str, lineno: int):
+    """Refuse, at its line, a table entry whose key or parsed word came before."""
+    if entry in seen:
+        raise ConfigError(f"duplicate {what}", lineno)
+    seen.add(entry)
+
+
 def _at_line(lineno: int | None, build, *args, **kwargs):
     """Call build, reporting a ValueError it raises as a ConfigError at lineno."""
     try:
@@ -189,7 +196,16 @@ def _at_least(low: int, parse: Callable) -> Callable:
 _count = _at_least(1, _integer)
 _size = _at_least(1, _span)
 _period = _at_least(3, _span)
-_truncation = _at_least(2, _integer)
+
+
+def _truncation(key: str, value: str, lineno: int) -> int:
+    """A model's truncation size, at most STATE_CAP states, refused before
+    a shift of that many states is built."""
+    n = _at_least(2, _integer)(key, value, lineno)
+    if n > STATE_CAP:
+        message = f"{key} = {n} truncates to {n} states, the dense-solve limit is {STATE_CAP}"
+        raise ConfigError(message, lineno)
+    return n
 
 
 def _theta(key: str, value: str, lineno: int) -> float:
@@ -254,16 +270,21 @@ def _build_function(
     entries = []  # (word, spelling, line, value) per value entry
     depth = None
     default = None
+    seen = set()  # the keys range and default, and the words given a value
     for key, word, value, lineno in section.entries:
         if key == "range":
             depth = _integer(key, value, lineno)
+            _once(seen, key, f"key {key!r}", lineno)
         elif key == "default":
             default = _real(key, value, lineno)
+            _once(seen, key, f"key {key!r}", lineno)
         elif key == "value":
             if word is None:
                 raise ConfigError('value entries look like: value "ab" = 1.5', lineno)
             number = _real(key, value, lineno)
-            entries.append((_parse_word(shift, word, lineno), word, lineno, number))
+            parsed = _parse_word(shift, word, lineno)
+            _once(seen, parsed, f"value for word {word!r}", lineno)
+            entries.append((parsed, word, lineno, number))
         else:
             raise ConfigError(f"unknown key {key!r}", lineno)
     if depth is None:
@@ -285,12 +306,17 @@ def _build_function(
 
 def _build_model_observable(section: _Section) -> dict:
     values = {}
+    seen = set()
     for key, word, value, lineno in section.entries:
         if key != "value" or word is None:
             raise ConfigError(
                 'countable-model observables take only value "s" = x entries', lineno
             )
-        values[_integer(key, word, lineno)] = _real(key, value, lineno)
+        state = _integer(key, word, lineno)
+        if state < 1:
+            raise ConfigError(f"states are numbered from 1, got {word!r}", lineno)
+        values[state] = _real(key, value, lineno)
+        _once(seen, state, f"value for state {word!r}", lineno)
     return values
 
 
@@ -668,7 +694,7 @@ def _build_identities(cfg: ExperimentConfig):
         records.append((name, "kl-pressure", _worst(kl), IDENTITY_TOL))
 
         orbit, trace = [], []
-        for nu in periodic_orbit_measures(shift, phi, range(1, k_max + 1)):
+        for nu in periodic_orbit_measures(data, range(1, k_max + 1)):
             lhs, rhs = orbit_entropy_identity(nu, phi)
             orbit.append(abs(lhs - rhs))
             trace.append(nu.trace_dev)

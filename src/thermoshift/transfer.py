@@ -101,8 +101,9 @@ def _perron_vector(matrix: np.ndarray):
 
 
 def _spectrum(b: np.ndarray):
-    """(lam, |lambda_2|, u, v): dominant root, second largest modulus, and the
-    positive left (u B = lam u) and right (B v = lam v) Perron vectors.
+    """(lam, |lambda_2|, u, v, eigenvalues): dominant root, second largest
+    modulus, the positive left (u B = lam u) and right (B v = lam v) Perron
+    vectors, and every eigenvalue of B.
 
     Dense eigendecompositions of B and its transpose, O(n^3), no iteration.
     Every edge weight is finite, but their root may not be: that root is
@@ -117,7 +118,7 @@ def _spectrum(b: np.ndarray):
             "the float range"
         )
     lambda2 = float(np.max(np.abs(np.delete(vals, k)), initial=0.0))
-    return lam, lambda2, u, v
+    return lam, lambda2, u, v, vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +136,7 @@ class PerronData:
     shift: TransitionMatrix
     phi: LocallyConstantFunction
     matrix: np.ndarray
+    eigenvalues: np.ndarray  # every eigenvalue of matrix, lam among them
     lam: float
     pressure: float
     h: np.ndarray
@@ -192,7 +194,7 @@ def perron_data(shift: TransitionMatrix, phi: LocallyConstantFunction) -> Perron
     if not is_topologically_mixing(shift):
         raise NotMixingError("transfer operator theory here needs a mixing shift")
     b = transfer_matrix(shift, phi)
-    lam, lambda2, u, v = _spectrum(b)
+    lam, lambda2, u, v, eigenvalues = _spectrum(b)
     # scale so the geometric mean of h is 1, then sum(h * nu) = 1; every
     # published quantity is invariant under the joint rescaling anyway
     h = u / math.exp(float(np.mean(np.log(u))))
@@ -234,6 +236,7 @@ def perron_data(shift: TransitionMatrix, phi: LocallyConstantFunction) -> Perron
         shift=shift,
         phi=phi,
         matrix=b,
+        eigenvalues=eigenvalues,
         lam=lam,
         pressure=math.log(lam),
         h=h,

@@ -219,8 +219,9 @@ def test_criterion_10_corollary2_periodic_orbits():
     for name in systems:
         shift, phi = builtin_system(name)
         b = transfer_matrix(shift, phi)
+        data = perron_data(shift, phi)
         for k in range(1, 13):
-            nu = periodic_orbit_measure(shift, phi, k)
+            nu = periodic_orbit_measure(data, k)
             trace = float(np.trace(np.linalg.matrix_power(b, k)))
             z = math.exp(nu.log_normalizer)
             worst_trace = max(worst_trace, abs(z - trace) / max(1.0, trace))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from typing import NamedTuple
@@ -5,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from thermoshift import approx
+from thermoshift import approx, transfer
 from thermoshift.approx import (
     AMBIENT_A,
     combined_orbit_harness,
@@ -29,6 +30,7 @@ from thermoshift.shift import (
 )
 from thermoshift.systems import BUILTIN_SYSTEMS, builtin_shift, builtin_system
 from thermoshift.transfer import (
+    EigensolverError,
     edge_values,
     gurevich_estimate,
     partition_sum,
@@ -399,7 +401,7 @@ ORACLE_TOL = 1e-12
 
 def assert_matches_oracle(shift, phi, k, observables=()):
     """Trace route against the enumeration, relative with the scale floored at 1."""
-    nu = periodic_orbit_measure(shift, phi, k)
+    nu = periodic_orbit_measure(perron_data(shift, phi), k)
     ref = enumerated_orbit_measure(shift, phi, k)
     pairs = [
         (nu.log_normalizer, ref.log_normalizer),
@@ -433,8 +435,9 @@ def test_periodic_measure_trace_identity():
     for name in ("golden-zero", "golden-range2", "full2-bernoulli", "tribonacci-zero"):
         shift, phi = builtin_system(name)
         b = transfer_matrix(shift, phi)
+        data = perron_data(shift, phi)
         for k in range(1, 13):
-            nu = periodic_orbit_measure(shift, phi, k)
+            nu = periodic_orbit_measure(data, k)
             trace = float(np.trace(np.linalg.matrix_power(b, k)))
             z = math.exp(nu.log_normalizer)
             assert abs(z - trace) <= 1e-10 * max(1.0, trace)
@@ -456,23 +459,25 @@ def test_no_periodic_points_refused():
     assert is_topologically_mixing(shift)
     phi = LocallyConstantFunction.zero(shift)
     with pytest.raises(ValueError, match="no periodic points of period 1"):
-        periodic_orbit_measure(shift, phi, 1)
+        periodic_orbit_measure(perron_data(shift, phi), 1)
     assert_matches_oracle(shift, phi, 2)
 
 
 def test_non_finite_weights_refused():
-    # every weight is finite, but their spectral radius overflows a float
+    # every weight is finite, but their spectral radius overflows a float:
+    # the data a periodic-orbit measure is built from is refused
     shift = builtin_shift("full-2")
     phi = LocallyConstantFunction.constant(shift, 709.7)
-    with pytest.raises(ValueError):
-        periodic_orbit_measure(shift, phi, 3)
+    with pytest.raises(EigensolverError, match="dominant root inf overflows a float"):
+        perron_data(shift, phi)
 
 
 def test_long_period_rate_reaches_pressure():
     shift, phi = builtin_system("golden-range2")
-    nu = periodic_orbit_measure(shift, phi, 2000)
+    data = perron_data(shift, phi)
+    nu = periodic_orbit_measure(data, 2000)
     assert math.isfinite(nu.log_normalizer)
-    pressure = perron_data(shift, phi).pressure
+    pressure = data.pressure
     assert abs(nu.log_normalizer / 2000 - pressure) <= 1e-9
 
 
@@ -481,8 +486,9 @@ def test_orbit_entropy_identity_shows_other_potentials():
     # enumeration computes independently
     shift, phi = builtin_system("golden-range2")
     psi = add(phi, random_function(shift, 2, np.random.default_rng(23)))
+    data = perron_data(shift, phi)
     for k in (1, 2, 5, 9):
-        lhs, rhs = orbit_entropy_identity(periodic_orbit_measure(shift, phi, k), psi)
+        lhs, rhs = orbit_entropy_identity(periodic_orbit_measure(data, k), psi)
         ref = enumerated_orbit_measure(shift, phi, k)
         gap = ref.expectation(psi) - ref.expectation(phi)
         assert abs(gap) > 1e-3
@@ -492,8 +498,9 @@ def test_orbit_entropy_identity_shows_other_potentials():
 def test_orbit_entropy_identity_exact():
     for name in ("golden-zero", "golden-range2", "full2-zero", "full2-bernoulli"):
         shift, phi = builtin_system(name)
+        data = perron_data(shift, phi)
         for k in range(1, 13):
-            nu = periodic_orbit_measure(shift, phi, k)
+            nu = periodic_orbit_measure(data, k)
             lhs, rhs = orbit_entropy_identity(nu, phi)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -630,12 +637,12 @@ def test_family_matches_fresh_measures_and_oracle(name, shift, phi):
     rng = np.random.default_rng(53)
     # ranges 1, 2 and 3; periods 1 and 2 read the range-3 one cyclically
     observables = [phi, *(random_function(shift, r, rng) for r in (1, 2, 3))]
-    family = list(periodic_orbit_measures(shift, phi, FAMILY_PERIODS))
+    family = list(periodic_orbit_measures(perron_data(shift, phi), FAMILY_PERIODS))
     assert [nu.k for nu in family] == list(FAMILY_PERIODS)
     for nu in family:
         want = orbit_readings(orbit_measure_oracle(shift, phi, nu.k), observables)
         assert orbit_readings(nu, observables) == want, (name, nu.k)
-        fresh = periodic_orbit_measure(shift, phi, nu.k)
+        fresh = periodic_orbit_measure(perron_data(shift, phi), nu.k)
         assert orbit_readings(fresh, observables) == want, (name, nu.k)
 
 
@@ -658,11 +665,11 @@ def refusal(fn, *args):
     return type(info.value), str(info.value)
 
 
-def family_refusal(shift, phi, periods):
+def family_refusal(data, periods):
     """(the periods yielded, then the refusal) of one family."""
     done = []
     with pytest.raises((ValueError, RuntimeError)) as info:
-        for nu in periodic_orbit_measures(shift, phi, periods):
+        for nu in periodic_orbit_measures(data, periods):
             done.append(nu.k)
     return done, (type(info.value), str(info.value))
 
@@ -673,20 +680,29 @@ def test_family_refusals_match_one_period_measures():
     assert is_topologically_mixing(gap)
     gap_phi = random_function(gap, 2, np.random.default_rng(61))
     full = builtin_shift("full-2")
-    huge = LocallyConstantFunction.constant(full, 709.7)
-    long_range = random_function(full, 3, np.random.default_rng(67))
     zero = LocallyConstantFunction.zero(full)
     cases = [
         (gap, gap_phi, [3, 4, 5, 6], [3, 4], 5),
-        (full, huge, [3, 4], [], 3),
-        (full, long_range, [3, 4], [], 3),
         (full, zero, [3, 0, 4], [3], 0),
         (full, zero, [2, -1], [2], -1),
     ]
     for shift, phi, periods, done, bad in cases:
         want = refusal(orbit_measure_oracle, shift, phi, bad)
-        assert refusal(periodic_orbit_measure, shift, phi, bad) == want
-        assert family_refusal(shift, phi, periods) == (done, want)
+        data = perron_data(shift, phi)
+        assert refusal(periodic_orbit_measure, data, bad) == want
+        assert family_refusal(data, periods) == (done, want)
+    # an overflowing root and a long range are refused by the data a family
+    # is built from, before any period is reached
+    huge = LocallyConstantFunction.constant(full, 709.7)
+    assert refusal(perron_data, full, huge) == (
+        EigensolverError,
+        "dominant root inf overflows a float: the pressure is past the float range",
+    )
+    long_range = random_function(full, 3, np.random.default_rng(67))
+    assert refusal(perron_data, full, long_range) == (
+        ValueError,
+        "transfer matrix needs a potential of range at most 2",
+    )
 
 
 def test_long_ranges_meet_the_one_transfer_matrix_refusal():
@@ -697,7 +713,7 @@ def test_long_ranges_meet_the_one_transfer_matrix_refusal():
     routes = [
         (partition_sum, shift, long_range, 0, 3),
         (gurevich_estimate, shift, long_range, 0, 3),
-        (periodic_orbit_measure, shift, long_range, 3),
+        (perron_data, shift, long_range),
         (stability_bound, data, long_range, phi),
     ]
     for fn, *args in routes:
@@ -712,48 +728,44 @@ def test_family_checks_the_trace_at_every_period(monkeypatch):
     # the sum matches the trace at k = 1 and misses it by 2e-4 at k = 2; the
     # measures are still built, and carry the miss for the caller to judge
     shift, phi = builtin_system("full2-zero")
-    monkeypatch.setattr(np.linalg, "eigvals", lambda b: np.array([2.0, 0.02, -0.02]))
-    family = list(periodic_orbit_measures(shift, phi, range(1, 5)))
+    spurious = np.array([2.0, 0.02, -0.02])
+    data = dataclasses.replace(perron_data(shift, phi), eigenvalues=spurious)
+    assert data.lam == 2.0
+    family = list(periodic_orbit_measures(data, range(1, 5)))
     assert [nu.k for nu in family] == [1, 2, 3, 4]
-    for nu in family:
-        assert nu.trace_dev == orbit_measure_oracle(shift, phi, nu.k).trace_dev
-        assert nu.trace_dev == periodic_orbit_measure(shift, phi, nu.k).trace_dev
+    with monkeypatch.context() as patch:  # the oracle's own solve finds the same values
+        patch.setattr(np.linalg, "eigvals", lambda b: spurious)
+        for nu in family:
+            assert nu.trace_dev == orbit_measure_oracle(shift, phi, nu.k).trace_dev
+            assert nu.trace_dev == periodic_orbit_measure(data, nu.k).trace_dev
     assert family[0].trace_dev <= 1e-10
     assert family[1].trace_dev == pytest.approx(2e-4, rel=1e-9)
     # the harness reports each period's miss
-    data = perron_data(shift, phi)
     f = LocallyConstantFunction.indicator(shift, (0,))
     reports = periodic_orbit_harness(data, f, range(3, 5))
     assert [rep.terms["trace_dev"] for rep in reports] == [nu.trace_dev for nu in family[2:]]
     assert reports[1].terms["trace_dev"] > 1e-10
 
 
-def test_harness_refuses_short_periods_before_solving(monkeypatch):
+def test_families_and_the_harness_build_no_matrix_and_solve_nothing(monkeypatch):
+    # B, its root and its eigenvalues are read from the PerronData
+    assert not hasattr(approx, "transfer_matrix")
     shift, phi = builtin_system("golden-range2")
     data = perron_data(shift, phi)
     f = LocallyConstantFunction.indicator(shift, (0,))
-    solves = []
-    counted = approx.transfer_matrix
 
-    def counting(*args):
-        solves.append(args)
-        return counted(*args)
+    def refuse(*args):
+        raise AssertionError("a transfer matrix was built or an eigensolve ran")
 
-    monkeypatch.setattr(approx, "transfer_matrix", counting)
+    for owner, name in ((transfer, "transfer_matrix"), (np.linalg, "eig"), (np.linalg, "eigvals")):
+        monkeypatch.setattr(owner, name, refuse)
     with pytest.raises(ValueError, match="periods below 3 have no certified form"):
         periodic_orbit_harness(data, f, [2, 3])
-    assert solves == []
     with pytest.raises(ValueError, match="periods below 3 have no certified form"):
         periodic_orbit_harness(data, f, [3, 4, 5, 2])
-    # one solve for the three periods reached before the refusal
-    assert len(solves) == 1
     assert len(periodic_orbit_harness(data, f, range(3, 13))) == 10
-    assert len(solves) == 2
-    # the family is lazy: nothing is solved before its first period
-    family = periodic_orbit_measures(shift, phi, range(1, 4))
-    assert len(solves) == 2
-    assert [nu.k for nu in family] == [1, 2, 3]
-    assert len(solves) == 3
+    assert [nu.k for nu in periodic_orbit_measures(data, range(1, 4))] == [1, 2, 3]
+    assert periodic_orbit_measure(data, 3).k == 3
 
 
 # --- stability --------------------------------------------------------------

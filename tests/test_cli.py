@@ -631,15 +631,15 @@ def drift_block_entropy(monkeypatch):
 
 
 def add_spurious_eigenvalue(monkeypatch):
-    """An eigenvalue at half the spectral radius: the eigenvalue sum misses
-    the trace of (B/rho)^k by 2^-k."""
-    eigvals = np.linalg.eigvals
+    """An eigenvalue at half the spectral radius in every PerronData: the
+    eigenvalue sum misses the trace of (B/rho)^k by 2^-k."""
+    spectrum = transfer._spectrum
 
     def spurious(b):
-        values = eigvals(b)
-        return np.append(values, 0.5 * np.max(np.abs(values)))
+        lam, lambda2, u, v, values = spectrum(b)
+        return lam, lambda2, u, v, np.append(values, 0.5 * lam)
 
-    monkeypatch.setattr(np.linalg, "eigvals", spurious)
+    monkeypatch.setattr(transfer, "_spectrum", spurious)
 
 
 def test_chain_rule_disagreement_fails_theorem2(tmp_path, capsys, monkeypatch):
@@ -1190,3 +1190,112 @@ def test_identities_accepts_and_ignores_a_shift_section(tmp_path, capsys):
     cfg.write_text("[shift]\nsystem = golden-zero\n[experiment]\nkind = identities\ntrials = 2\n")
     assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert "result: PASS" in capsys.readouterr().out
+
+
+# A table entry given twice is refused at its second line; words are compared
+# as parsed, so "ab" and "a:b" name the same word, and "2" and "02" the same
+# state of a model.
+GOLDEN = "[shift]\nbuiltin = golden-mean\n"
+MODEL = "[shift]\nmodel = geometric(0.5)\n"
+
+
+@pytest.mark.parametrize(
+    "sections, kind, message",
+    [
+        (
+            '[potential]\ndefault = 0.0\nvalue "ab" = 1.0\nvalue "ab" = 3.0\n',
+            "pressure",
+            "line 6: duplicate value for word 'ab'",
+        ),
+        (
+            '[potential]\nvalue "ab" = 1.0\nvalue "a:b" = 1.0\n',
+            "pressure",
+            "line 5: duplicate value for word 'a:b'",
+        ),
+        (
+            "[potential]\ndefault = 0.0\nrange = 2\ndefault = 0.0\n",
+            "pressure",
+            "line 6: duplicate key 'default'",
+        ),
+        (
+            "[potential]\nrange = 2\ndefault = 0.0\nrange = 2\n",
+            "pressure",
+            "line 6: duplicate key 'range'",
+        ),
+        (
+            '[perturbation]\nvalue "a" = 0.1\nvalue "b" = 0.2\nvalue "a" = 0.3\n',
+            "corollary3",
+            "line 6: duplicate value for word 'a'",
+        ),
+        (
+            '[observable f]\nvalue "ba" = 1.0\nvalue "b:a" = 2.0\n',
+            "corollary3",
+            "line 5: duplicate value for word 'b:a'",
+        ),
+        (
+            "[observable f]\ndefault = 1.0\ndefault = 1.0\n",
+            "corollary2",
+            "line 5: duplicate key 'default'",
+        ),
+    ],
+    ids=[
+        "potential-value",
+        "potential-value-spelled-two-ways",
+        "potential-default",
+        "potential-range",
+        "perturbation-value",
+        "observable-value",
+        "observable-default",
+    ],
+)
+def test_duplicate_table_entries_are_refused_at_their_line(
+    tmp_path, capsys, monkeypatch, sections, kind, message
+):
+    refuse_every_solve(monkeypatch)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(f"{GOLDEN}{sections}[experiment]\nkind = {kind}\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["corollary1", "corollary2"])
+def test_duplicate_model_observable_states_are_refused_at_their_line(
+    tmp_path, capsys, monkeypatch, kind
+):
+    refuse_every_solve(monkeypatch)
+    cfg = tmp_path / "twice.cfg"
+    observable = '[observable f]\nvalue "2" = 1.0\nvalue "1" = 0.5\nvalue "02" = 3.0\n'
+    cfg.write_text(f"{MODEL}{observable}[experiment]\nkind = {kind}\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: line 6: duplicate value for state '02'\n"
+
+
+@pytest.mark.parametrize("kind", ["corollary1", "corollary2"])
+@pytest.mark.parametrize("state", ["0", "-1"])
+def test_model_observable_states_below_1_are_refused_at_their_line(
+    tmp_path, capsys, monkeypatch, kind, state
+):
+    refuse_every_solve(monkeypatch)
+    cfg = tmp_path / "zero.cfg"
+    observable = f'[observable f]\nvalue "1" = 0.5\nvalue "{state}" = 1.0\n'
+    cfg.write_text(f"{MODEL}{observable}[experiment]\nkind = {kind}\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line 5: states are numbered from 1, got '{state}'\n"
+
+
+def test_model_truncation_past_the_state_cap_is_refused_before_any_shift_is_built(
+    tmp_path, capsys, monkeypatch
+):
+    def build(*args, **kwargs):
+        raise AssertionError("a shift was built")
+
+    monkeypatch.setattr(approx, "build_sft", build)
+    monkeypatch.setattr(cli, "truncate", build)
+    text = MODEL + "[experiment]\nkind = corollary2\nk = 3\nn = {}\n"
+    assert parse_config(text.format(shift_module.STATE_CAP)).params["n"] == 1024
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(text.format(1025))
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    message = "line 6: n = 1025 truncates to 1025 states, the dense-solve limit is 1024"
+    assert capsys.readouterr().err == f"error: {message}\n"
