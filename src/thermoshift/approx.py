@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import BoundReport, gibbs_report
 from .measures import entropy_rate, integrate
 from .potential import LocallyConstantFunction, sup_diff
-from .shift import TransitionMatrix, build_sft, enumerate_words
+from .shift import build_sft, enumerate_words
 from .transfer import PerronData, edge_values, perron_data
 
 AMBIENT_A = math.sqrt(2.0)
@@ -137,26 +137,23 @@ def zeta_model(alpha: float) -> CountableModel:
 
 @dataclass(frozen=True, eq=False)
 class FiniteSubsystem:
-    """The full shift on the first `size` states of a countable model."""
+    """The full shift on the first `data.shift.n` states of a countable
+    model, with the eigendata of its potential `data.phi`."""
 
     model: CountableModel
-    size: int
-    shift: TransitionMatrix
-    phi: LocallyConstantFunction
     data: PerronData
-    parent_pressure: float
 
     @property
     def pressure_gap(self) -> float:
-        gap = self.parent_pressure - self.data.pressure
+        gap = self.model.pressure() - self.data.pressure
         return max(gap, 0.0)
 
     def observable(self, values: dict) -> LocallyConstantFunction:
         """Range-1 function on the truncation from a state-indexed table."""
         table = {}
-        for i in range(self.size):
+        for i in range(self.data.shift.n):
             table[(i,)] = float(values.get(i + 1, 0.0))
-        return LocallyConstantFunction(base=self.shift, depth=1, table=table)
+        return LocallyConstantFunction(base=self.data.shift, depth=1, table=table)
 
 
 def truncate(model: CountableModel, n: int) -> FiniteSubsystem:
@@ -172,14 +169,7 @@ def truncate(model: CountableModel, n: int) -> FiniteSubsystem:
     shift = build_sft(labels, [(u, v) for u in labels for v in labels])
     table = {(i,): math.log(w) for i, w in enumerate(weights)}
     phi = LocallyConstantFunction(base=shift, depth=1, table=table)
-    return FiniteSubsystem(
-        model=model,
-        size=n,
-        shift=shift,
-        phi=phi,
-        data=perron_data(shift, phi),
-        parent_pressure=model.pressure(),
-    )
+    return FiniteSubsystem(model=model, data=perron_data(shift, phi))
 
 
 def truncation_harness(model: CountableModel, values: dict, n_range) -> list:

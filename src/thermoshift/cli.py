@@ -75,18 +75,24 @@ class ConfigError(ValueError):
 # parsing
 
 
+_SECTION_KINDS = ("shift", "potential", "perturbation", "observable", "experiment")
+
+
 @dataclass
 class _Section:
     kind: str
     name: str | None
     line: int
-    entries: list = field(default_factory=list)  # (key, word_or_None, value, line)
+    plain: dict = field(default_factory=dict)  # key -> (value, line)
+    values: list = field(default_factory=list)  # (word, value, line) per value entry
 
 
 _ENTRY_RE = re.compile(r'^(\w[\w-]*)\s*(?:"([^"]*)")?\s*=\s*(.*)$')
 
 
 def _split_sections(text: str) -> list:
+    """The sections in text order, each syntax rule checked at its line: known
+    kinds, names on [observable] only, words on table values only, plain keys once."""
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -101,9 +107,14 @@ def _split_sections(text: str) -> list:
                 raise ConfigError("empty section header", lineno)
             if len(parts) > 2:
                 raise ConfigError("section header takes at most one name", lineno)
-            current = _Section(
-                kind=parts[0], name=parts[1] if len(parts) == 2 else None, line=lineno
-            )
+            kind, name = (*parts, None)[:2]
+            if kind not in _SECTION_KINDS:
+                raise ConfigError(f"unknown section [{kind}]", lineno)
+            if kind == "observable" and name is None:
+                raise ConfigError("observable sections need a name", lineno)
+            if kind != "observable" and name is not None:
+                raise ConfigError(f"section [{kind}] does not take a name", lineno)
+            current = _Section(kind, name, lineno)
             sections.append(current)
             continue
         m = _ENTRY_RE.match(line)
@@ -111,19 +122,16 @@ def _split_sections(text: str) -> list:
             raise ConfigError(f"cannot parse {line!r}", lineno)
         if current is None:
             raise ConfigError("entry before any section header", lineno)
-        current.entries.append((m.group(1), m.group(2), m.group(3).strip(), lineno))
-    return sections
-
-
-def _plain_entries(section: _Section) -> dict:
-    out = {}
-    for key, word, value, lineno in section.entries:
-        if word is not None:
+        key, word, value = m.group(1), m.group(2), m.group(3).strip()
+        if word is None:
+            if key in current.plain:
+                raise ConfigError(f"duplicate key {key!r}", lineno)
+            current.plain[key] = (value, lineno)
+        elif key == "value" and current.kind not in ("shift", "experiment"):
+            current.values.append((word, value, lineno))
+        else:
             raise ConfigError(f"key {key!r} does not take a word index", lineno)
-        if key in out:
-            raise ConfigError(f"duplicate key {key!r}", lineno)
-        out[key] = (value, lineno)
-    return out
+    return sections
 
 
 def _once(seen: set, entry, what: str, lineno: int):
@@ -263,30 +271,30 @@ class ExperimentConfig:
     perturbation: LocallyConstantFunction | None
 
 
+def _table_keys(section: _Section) -> tuple:
+    """The range and default of a table on a finite shift, None where not given."""
+    read = {"range": None, "default": None}
+    for key, (value, lineno) in section.plain.items():
+        if key == "value":
+            raise ConfigError('value entries look like: value "ab" = 1.5', lineno)
+        if key not in read:
+            raise ConfigError(f"unknown key {key!r}", lineno)
+        read[key] = (_count if key == "range" else _real)(key, value, lineno)
+    return read["range"], read["default"]
+
+
 def _build_function(
-    shift: TransitionMatrix, section: _Section, theta: float, kind: str
+    shift: TransitionMatrix, section: _Section, keys: tuple, theta: float, kind: str
 ) -> LocallyConstantFunction:
     """The section's table, its range checked against the kind's before any word is listed."""
+    depth, default = keys
     entries = []  # (word, spelling, line, value) per value entry
-    depth = None
-    default = None
-    seen = set()  # the keys range and default, and the words given a value
-    for key, word, value, lineno in section.entries:
-        if key == "range":
-            depth = _integer(key, value, lineno)
-            _once(seen, key, f"key {key!r}", lineno)
-        elif key == "default":
-            default = _real(key, value, lineno)
-            _once(seen, key, f"key {key!r}", lineno)
-        elif key == "value":
-            if word is None:
-                raise ConfigError('value entries look like: value "ab" = 1.5', lineno)
-            number = _real(key, value, lineno)
-            parsed = _parse_word(shift, word, lineno)
-            _once(seen, parsed, f"value for word {word!r}", lineno)
-            entries.append((parsed, word, lineno, number))
-        else:
-            raise ConfigError(f"unknown key {key!r}", lineno)
+    seen = set()  # the words given a value
+    for word, value, lineno in section.values:
+        number = _real("value", value, lineno)
+        parsed = _parse_word(shift, word, lineno)
+        _once(seen, parsed, f"value for word {word!r}", lineno)
+        entries.append((parsed, word, lineno, number))
     if depth is None:
         depth = max((len(w) for w, *_ in entries), default=1)
     values = {}
@@ -305,17 +313,15 @@ def _build_function(
 
 
 def _build_model_observable(section: _Section) -> dict:
+    for _, lineno in section.plain.values():  # refused at the first plain key
+        raise ConfigError('countable-model observables take only value "s" = x entries', lineno)
     values = {}
     seen = set()
-    for key, word, value, lineno in section.entries:
-        if key != "value" or word is None:
-            raise ConfigError(
-                'countable-model observables take only value "s" = x entries', lineno
-            )
-        state = _integer(key, word, lineno)
+    for word, value, lineno in section.values:
+        state = _integer("value", word, lineno)
         if state < 1:
             raise ConfigError(f"states are numbered from 1, got {word!r}", lineno)
-        values[state] = _real(key, value, lineno)
+        values[state] = _real("value", value, lineno)
         _once(seen, state, f"value for state {word!r}", lineno)
     return values
 
@@ -323,7 +329,7 @@ def _build_model_observable(section: _Section) -> dict:
 def _shift_source(section: _Section) -> tuple:
     """The one source key of a [shift] section, system, builtin, model or
     states (read with edges), and the section's plain entries."""
-    plain = _plain_entries(section)
+    plain = section.plain
     sources = [key for key in plain if key in (*_FINITE, "model")]
     if not sources:
         raise ConfigError(
@@ -340,19 +346,15 @@ def _shift_source(section: _Section) -> tuple:
 
 def parse_config(text: str) -> ExperimentConfig:
     sections = _split_sections(text)
-    known = ("shift", "potential", "perturbation", "observable", "experiment")
-    for s in sections:
-        if s.kind not in known:
-            raise ConfigError(f"unknown section [{s.kind}]", s.line)
     shift_sec, pot_sec, pert_sec, obs_secs, exp_sec = (
-        [s for s in sections if s.kind == k] for k in known
+        [s for s in sections if s.kind == k] for k in _SECTION_KINDS
     )
     if len(exp_sec) != 1:
         raise ConfigError("config needs exactly one [experiment] section")
     if len(shift_sec) > 1 or len(pot_sec) > 1 or len(pert_sec) > 1:
         raise ConfigError("at most one [shift], [potential], [perturbation] each")
 
-    exp_plain = _plain_entries(exp_sec[0])
+    exp_plain = exp_sec[0].plain
     kind_entry = exp_plain.pop("kind", None)
     if kind_entry is None:
         raise ConfigError("experiment needs a kind", exp_sec[0].line)
@@ -397,6 +399,10 @@ def parse_config(text: str) -> ExperimentConfig:
     out = params.pop("out", "results")
     theta = params.get("theta", DEFAULT_THETA)
 
+    # each table's range and default, read like the [experiment] values
+    # before any shift is built; a model's observables take neither
+    tables = (*pot_sec, *pert_sec, *obs_secs)
+    keys = {} if source == "model" else {s.line: _table_keys(s) for s in tables}
     shift = phi = model = None
     if source == "system":
         shift, phi = _at_line(lineno, builtin_system, value, theta)
@@ -426,7 +432,7 @@ def parse_config(text: str) -> ExperimentConfig:
     # sections the run does not read, refused after every [experiment] value
     # has been read and before any table is built; a system or a model fixes
     # its own weights
-    for s in (*pot_sec, *pert_sec, *obs_secs):
+    for s in tables:
         if s.kind == "potential" and source == "system":
             raise ConfigError("a builtin system already fixes the potential", s.line)
         if s.kind == "potential" and source == "model":
@@ -435,21 +441,17 @@ def parse_config(text: str) -> ExperimentConfig:
             what = "[observable] sections" if s.kind == "observable" else f"a [{s.kind}] section"
             raise ConfigError(f"{kind} does not read {what}", s.line)
 
+    def build(s: _Section) -> LocallyConstantFunction:
+        return _build_function(shift, s, keys[s.line], theta, kind)
+
     if shift is not None and phi is None:
-        if pot_sec:
-            phi = _build_function(shift, pot_sec[0], theta, kind)
-        else:
-            phi = LocallyConstantFunction.zero(shift, theta=theta)
-    perturbation = _build_function(shift, pert_sec[0], theta, kind) if pert_sec else None
+        phi = build(pot_sec[0]) if pot_sec else LocallyConstantFunction.zero(shift, theta=theta)
+    perturbation = build(pert_sec[0]) if pert_sec else None
     observables = {}
     for s in obs_secs:
-        if s.name is None:
-            raise ConfigError("observable sections need a name", s.line)
         if s.name in observables:
             raise ConfigError(f"duplicate observable {s.name!r}", s.line)
-        observables[s.name] = (
-            _build_model_observable(s) if model else _build_function(shift, s, theta, kind)
-        )
+        observables[s.name] = _build_model_observable(s) if model else build(s)
 
     return ExperimentConfig(
         kind=kind,
@@ -824,7 +826,7 @@ _KINDS = {
         sections={"potential": 2, "observable": math.inf},
     ),
     "corollary3": _Kind(
-        {"trials": _count, "max-diff": _real, "theta": _theta},
+        {"trials": _count, "max-diff": _at_least(0, _real), "theta": _theta},
         "trial,seed,sup_diff,lhs,rhs,slack,identity_residual",
         _build_corollary3,
         lambda reports: [
@@ -890,18 +892,13 @@ def main(argv=None) -> int:
         parser.error("expected: thermoshift run <config> (or --list-builtins)")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = parse_config(text)
+            cfg = parse_config(fh.read())
         if args.seed is not None:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out = args.out
         return run_experiment(cfg)
-    except (ConfigError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

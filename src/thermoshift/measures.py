@@ -83,10 +83,6 @@ class MarkovMeasure:
         # and read-only again and its caches start empty
         return (type(self), (self.base, self.kernel, self.initial))
 
-    @property
-    def support(self):
-        return tuple(np.flatnonzero(self.initial > 0.0).tolist())
-
     def word_probability(self, word) -> float:
         word = tuple(word)
         if not self.base.is_word(word):

@@ -141,8 +141,6 @@ class PerronData:
     pressure: float
     h: np.ndarray
     nu: np.ndarray
-    pi: np.ndarray
-    p: np.ndarray
     measure: MarkovMeasure
     lambda2_mod: float
     kappa: float
@@ -241,8 +239,6 @@ def perron_data(shift: TransitionMatrix, phi: LocallyConstantFunction) -> Perron
         pressure=math.log(lam),
         h=h,
         nu=nu,
-        pi=pi,
-        p=p,
         measure=measure,
         lambda2_mod=lambda2,
         kappa=kappa,

@@ -286,9 +286,8 @@ def test_model_validation():
 def test_truncate_builds_weighted_full_shift():
     model = geometric_model(0.5)
     sub = truncate(model, 4)
-    assert sub.shift.n == 4
-    assert sub.size == 4
-    b = transfer_matrix(sub.shift, sub.phi)
+    assert sub.data.shift.n == 4
+    b = transfer_matrix(sub.data.shift, sub.data.phi)
     # range-1 weights are constant along rows: row i carries w_{i+1}
     assert b[:, 0] == pytest.approx([0.5, 0.25, 0.125, 0.0625])
     assert b[:, 0] == pytest.approx(b[:, 3])
@@ -428,7 +427,7 @@ def test_trace_route_matches_enumeration_on_truncations(model):
         sub = truncate(model, n)
         f = sub.observable({1: 1.0, 2: -0.5})
         for k in range(1, 8):
-            assert_matches_oracle(sub.shift, sub.phi, k, [f])
+            assert_matches_oracle(sub.data.shift, sub.data.phi, k, [f])
 
 
 def test_periodic_measure_trace_identity():
@@ -629,7 +628,7 @@ def family_systems():
     for model in (geometric_model(0.5), zeta_model(2.0)):
         for n in range(2, 7):
             sub = truncate(model, n)
-            yield f"{model.family}-{n}", sub.shift, sub.phi
+            yield f"{model.family}-{n}", sub.data.shift, sub.data.phi
 
 
 @pytest.mark.parametrize("name, shift, phi", list(family_systems()))

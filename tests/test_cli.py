@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoshift import approx, cli, measures, transfer
 from thermoshift import shift as shift_module
@@ -1299,3 +1301,150 @@ def test_model_truncation_past_the_state_cap_is_refused_before_any_shift_is_buil
     assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     message = "line 6: n = 1025 truncates to 1025 states, the dense-solve limit is 1024"
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def refuse_every_shift(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("a refused config built a shift")
+
+    for name in ("builtin_system", "builtin_shift", "build_sft", "truncate"):
+        monkeypatch.setattr(cli, name, build)
+
+
+SYSTEM = "[shift]\nsystem = golden-range2\n"
+TABLE_HEADERS = ["[potential]", "[perturbation]", "[observable f]"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "[shift golden]\nbuiltin = golden-mean\n[experiment]\nkind = pressure\n",
+            "line 1: section [shift] does not take a name",
+        ),
+        (
+            GOLDEN + "[potential phi]\ndefault = 0.1\n[experiment]\nkind = pressure\n",
+            "line 3: section [potential] does not take a name",
+        ),
+        (
+            GOLDEN + "[perturbation p]\ndefault = 0.1\n[experiment]\nkind = corollary3\n",
+            "line 3: section [perturbation] does not take a name",
+        ),
+        (
+            GOLDEN + "[experiment main]\nkind = pressure\n",
+            "line 3: section [experiment] does not take a name",
+        ),
+        *(
+            (
+                f'{GOLDEN}{header}\n{key} "{word}" = 0.5\n[experiment]\nkind = corollary3\n',
+                f"line 4: key {key!r} does not take a word index",
+            )
+            for header in TABLE_HEADERS
+            for key, word in (("range", "ab"), ("default", "zz"))
+        ),
+        *(
+            (
+                f"{GOLDEN}[potential]\nrange = {depth}\n[experiment]\nkind = pressure\n",
+                f"line 4: range must be at least 1, got {depth}",
+            )
+            for depth in (0, -1)
+        ),
+        (
+            SYSTEM + "[experiment]\nkind = corollary3\nmax-diff = -0.5\n",
+            "line 5: max-diff must be at least 0, got -0.5",
+        ),
+    ],
+    ids=[
+        *(f"name-on-{kind}" for kind in ("shift", "potential", "perturbation", "experiment")),
+        *(
+            f"word-on-{key}-in-{header.split()[0].strip('[]')}"
+            for header in TABLE_HEADERS
+            for key in ("range", "default")
+        ),
+        "range-0",
+        "range-minus-1",
+        "negative-max-diff",
+    ],
+)
+def test_ignored_inputs_are_refused_at_their_line_before_any_shift_is_built(
+    tmp_path, capsys, monkeypatch, text, message
+):
+    refuse_every_solve(monkeypatch)
+    refuse_every_shift(monkeypatch)
+    cfg = tmp_path / "refused.cfg"
+    cfg.write_text(text)
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_max_diff_runs_with_zero_bumps(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(SYSTEM + "[experiment]\nkind = corollary3\nmax-diff = 0\ntrials = 2\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "check slack-nonnegative: PASS (min slack 0)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["onto-a-file", "under-a-file"])
+def test_an_unwritable_output_exits_2_without_a_traceback(tmp_path, capsys, out):
+    (tmp_path / "file").write_text("")
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text(GOLDEN + "[experiment]\nkind = pressure\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == ""
+
+
+def test_a_config_that_is_not_utf8_exits_2_without_a_traceback(tmp_path, capsys, monkeypatch):
+    refuse_every_solve(monkeypatch)
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"\xff[experiment]\nkind = identities\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position 0")
+    assert err.count("\n") == 1
+
+
+def test_a_missing_config_exits_2_with_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "none.cfg"
+    assert run_main(["run", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def word_index_refusal(kind: str, entries: list):
+    """The refusal the splitter owes a section of this kind, or None."""
+    plain = set()
+    for lineno, (key, word) in enumerate(entries, start=2):
+        if word is not None and (key != "value" or kind in ("shift", "experiment")):
+            return f"line {lineno}: key {key!r} does not take a word index"
+        if word is None and key in plain:
+            return f"line {lineno}: duplicate key {key!r}"
+        if word is None:
+            plain.add(key)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["shift", "potential", "perturbation", "observable", "experiment"]),
+    entries=st.lists(
+        st.tuples(
+            st.sampled_from(["value", "range", "default", "kind", "system", "seed"]),
+            st.none() | st.sampled_from(["a", "ab", "1", ""]),
+        ),
+        max_size=5,
+    ),
+)
+def test_a_word_index_is_taken_only_by_value_entries_of_tables(kind, entries):
+    header = "[observable f]" if kind == "observable" else f"[{kind}]"
+    lines = [f"{key} = 1" if word is None else f'{key} "{word}" = 1' for key, word in entries]
+    text = "\n".join([header, *lines]) + "\n"
+    refusal = word_index_refusal(kind, entries)
+    if refusal is not None:
+        with pytest.raises(ConfigError, match=re.escape(refusal) + "$"):
+            cli._split_sections(text)
+        return
+    [section] = cli._split_sections(text)
+    assert [word for word, _, _ in section.values] == [w for _, w in entries if w is not None]
+    assert list(section.plain) == [key for key, w in entries if w is None]

@@ -381,9 +381,10 @@ def test_gap_prefactor_matches_loop_oracle_bit_for_bit():
 def test_gap_prefactor_matches_oracle_on_builtin_solves():
     for name in ("full2-bernoulli", "golden-zero", "golden-range2", "tribonacci-zero"):
         data = perron_data(*builtin_system(name))
+        p, pi = data.measure.kernel, data.measure.initial
         q = reverse_kernel(data.measure)
-        assert data.c == gap_prefactor_oracle(data.p, q, data.pi, data.kappa)
-        assert _gap_prefactor(data.p, q, data.pi, data.kappa) == data.c
+        assert data.c == gap_prefactor_oracle(p, q, pi, data.kappa)
+        assert _gap_prefactor(p, q, pi, data.kappa) == data.c
 
 
 def test_gap_prefactor_underflow_gives_inf_like_the_oracle():

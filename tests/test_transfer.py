@@ -40,7 +40,7 @@ ALL_SYSTEMS = [
 def test_golden_pressure_closed_form():
     data = zero_data("golden-mean")
     assert data.pressure == pytest.approx(math.log(GOLDEN_RATIO), abs=1e-10)
-    assert data.pi == pytest.approx(
+    assert data.measure.initial == pytest.approx(
         [GOLDEN_RATIO / math.sqrt(5.0), 1.0 - GOLDEN_RATIO / math.sqrt(5.0)], abs=1e-12
     )
 
@@ -57,7 +57,7 @@ def test_bernoulli_gibbs_measure():
     shift, phi = builtin_system("full2-bernoulli")
     data = perron_data(shift, phi)
     assert data.pressure == pytest.approx(0.0, abs=1e-12)
-    assert data.pi == pytest.approx([0.3, 0.7], abs=1e-12)
+    assert data.measure.initial == pytest.approx([0.3, 0.7], abs=1e-12)
     assert data.measure.kernel[0] == pytest.approx([0.3, 0.7], abs=1e-12)
 
 
@@ -84,21 +84,22 @@ def test_normalization_convention(name):
     data = perron_data(*builtin_system(name))
     assert math.exp(float(np.mean(np.log(data.h)))) == pytest.approx(1.0, abs=1e-12)
     assert float(data.h @ data.nu) == pytest.approx(1.0, abs=1e-12)
-    assert data.pi == pytest.approx(data.h * data.nu)
+    assert data.measure.initial == pytest.approx(data.h * data.nu)
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
 def test_gibbs_kernel_is_stationary_chain(name):
     data = perron_data(*builtin_system(name))
-    p = data.p
+    p = data.measure.kernel
     assert p.sum(axis=1) == pytest.approx(np.ones(data.shift.n), abs=1e-12)
-    assert data.pi @ p == pytest.approx(data.pi, abs=1e-12)
+    assert data.measure.initial @ p == pytest.approx(data.measure.initial, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
 def test_spectral_gap_prefactor_certifies_decay(name):
     data = perron_data(*builtin_system(name))
-    pi, p, c, kappa = data.pi, data.p, data.c, data.kappa
+    pi, p = data.measure.initial, data.measure.kernel
+    c, kappa = data.c, data.kappa
     rng = np.random.default_rng(13)
     vectors = rng.uniform(-1.0, 1.0, size=(100, data.shift.n))
     vectors /= np.max(np.abs(vectors), axis=1, keepdims=True)
