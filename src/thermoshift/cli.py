@@ -851,9 +851,9 @@ _KINDS = {
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     kind = _KINDS[cfg.kind]
+    os.makedirs(cfg.out, exist_ok=True)
     reports, rows = kind.build(cfg)
     checks = kind.checks(reports)
-    os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"{cfg.kind}.csv")
     _write_csv(path, kind.header, rows)
     print(f"experiment: {cfg.kind}")

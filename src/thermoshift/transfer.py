@@ -2,14 +2,15 @@
 
 The operator acts on one-coordinate functions v through the weighted matrix
 B_ij = t_ij exp(phi(i, j)) as (Lv)_j = sum_i B_ij v_i, so h below is a left
-eigenvector and nu a right one.  Everything downstream (Gibbs kernel, spectral
-gap, the effective constants) is packaged in PerronData.
+eigenvector and nu a right one.  perron_data solves for the eigendata and the
+Gibbs kernel; the PerronData it returns computes the constants on first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
@@ -125,8 +126,9 @@ def _spectrum(b: np.ndarray):
 class PerronData:
     """Eigendata of a Markovian potential together with its Gibbs measure.
 
-    kappa is the spectral contraction rate |lambda_2|/lambda, c a certified
-    prefactor for the iterate norms, eigennorm the eigenvector ratio
+    kappa is the spectral contraction rate |lambda_2|/lambda.  The certificate
+    is computed from the measure, h and kappa on first read and kept: c a
+    certified prefactor for the iterate norms, eigennorm the eigenvector ratio
     max(h) * max(1/h), a, b the constants entering the pressure-gap and
     block-entropy inequalities, and step_norm the sup-operator norm of one
     averaging step with the reversed kernel (its largest row sum), the same
@@ -144,11 +146,35 @@ class PerronData:
     measure: MarkovMeasure
     lambda2_mod: float
     kappa: float
-    c: float
-    eigennorm: float
-    a: float
-    b: float
-    step_norm: float
+
+    @cached_property
+    def c(self) -> float:
+        mu = self.measure
+        c = _gap_prefactor(mu.kernel, reverse_kernel(mu), mu.initial, self.kappa)
+        if not math.isfinite(c):
+            raise EigensolverError(
+                f"gap prefactor c = {c} is not finite (kappa = {self.kappa!r}): "
+                "the iterate norms cannot be certified"
+            )
+        return c
+
+    @cached_property
+    def eigennorm(self) -> float:
+        return float(np.max(self.h) * np.max(1.0 / self.h))
+
+    @cached_property
+    def step_norm(self) -> float:
+        # each reversed-kernel row summed in Python, in state order over its predecessors
+        rows, columns = reverse_kernel(self.measure).tolist(), zip(*self.shift._rows)
+        return max(sum(map(abs, compress(row, col))) for row, col in zip(rows, columns))
+
+    @cached_property
+    def a(self) -> float:
+        return math.sqrt(2.0) * self.c / (1.0 - self.kappa) * self.eigennorm
+
+    @cached_property
+    def b(self) -> float:
+        return (1.0 / math.sqrt(2.0) + math.sqrt(2.0)) * self.a
 
 
 def _gap_prefactor(p: np.ndarray, q: np.ndarray, pi: np.ndarray, kappa: float) -> float:
@@ -184,10 +210,11 @@ def _gap_prefactor(p: np.ndarray, q: np.ndarray, pi: np.ndarray, kappa: float) -
 
 
 def perron_data(shift: TransitionMatrix, phi: LocallyConstantFunction) -> PerronData:
-    """Full eigendata of the transfer matrix of a range <= 2 potential.
+    """Eigendata, Gibbs measure and spectral gap of a range <= 2 potential.
 
-    Normalization: h is scaled so max(h)*min(h) = 1 and nu so that the
-    stationary vector pi = h*nu is a probability vector.
+    The solve step: it refuses a non-mixing shift, a root or vector it cannot
+    trust, a gap below GAP_FLOOR and reversed rows that drift.  The constants
+    are the certificate fields of PerronData, computed on first read.
     """
     if not is_topologically_mixing(shift):
         raise NotMixingError("transfer operator theory here needs a mixing shift")
@@ -197,10 +224,9 @@ def perron_data(shift: TransitionMatrix, phi: LocallyConstantFunction) -> Perron
     # published quantity is invariant under the joint rescaling anyway
     h = u / math.exp(float(np.mean(np.log(u))))
     nu = v / float(h @ v)
-    pi = h * nu
     p = b * nu[None, :] / (lam * nu[:, None])
     p /= p.sum(axis=1, keepdims=True)
-    measure = MarkovMeasure(base=shift, kernel=p, initial=pi)
+    measure = MarkovMeasure(base=shift, kernel=p, initial=h * nu)
 
     kappa = lambda2 / lam
     if kappa < 1e-13:
@@ -212,24 +238,12 @@ def perron_data(shift: TransitionMatrix, phi: LocallyConstantFunction) -> Perron
         )
     # q[j, i] = pi_i p_ij / pi_j: rows that miss 1 carry a pi too inaccurate
     # for q^n to approach 1 pi, and a c probed from them says nothing
-    q = reverse_kernel(measure)
-    drift = float(np.max(np.abs(q.sum(axis=1) - 1.0)))
+    drift = float(np.max(np.abs(reverse_kernel(measure).sum(axis=1) - 1.0)))
     if drift > KERNEL_ROW_TOL:
         raise EigensolverError(
             f"reversed kernel rows miss 1 by up to {drift:.3g} (tolerance "
             f"{KERNEL_ROW_TOL:g}): pi is too inaccurate to certify the constants"
         )
-    c = _gap_prefactor(p, q, pi, kappa)
-    if not math.isfinite(c):
-        raise EigensolverError(
-            f"gap prefactor c = {c} is not finite (kappa = {kappa!r}): "
-            "the iterate norms cannot be certified"
-        )
-    eigennorm = float(np.max(h) * np.max(1.0 / h))
-    # row i of q summed in Python, in state order over the predecessors of i
-    columns = zip(*shift._rows)
-    step_norm = max(sum(map(abs, compress(row, col))) for row, col in zip(q.tolist(), columns))
-    a = math.sqrt(2.0) * c / (1.0 - kappa) * eigennorm
     return PerronData(
         shift=shift,
         phi=phi,
@@ -242,11 +256,6 @@ def perron_data(shift: TransitionMatrix, phi: LocallyConstantFunction) -> Perron
         measure=measure,
         lambda2_mod=lambda2,
         kappa=kappa,
-        c=c,
-        eigennorm=eigennorm,
-        a=a,
-        b=(1.0 / math.sqrt(2.0) + math.sqrt(2.0)) * a,
-        step_norm=step_norm,
     )
 
 
@@ -327,6 +336,7 @@ def gurevich_estimate(
 
     Rows where the diagonal entry vanishes (short return times) are skipped;
     a diagonal entry past the float range raises ValueError naming its n.
+    lam is solved here, not by perron_data, so a periodic shift still answers.
     """
     a = shift.index(state) if not isinstance(state, (int, np.integer)) else int(state)
     b = transfer_matrix(shift, phi)

@@ -493,6 +493,23 @@ def test_gurevich_estimate_refuses_only_the_entries_it_reads():
             transfer.gurevich_estimate(cfg.shift, cfg.phi, "a", 4)
 
 
+def test_partition_sums_answer_on_a_periodic_shift(tmp_path, capsys):
+    # the period-2 shift is not mixing and its spectrum (1, -1) has no gap:
+    # perron_data refuses it, but partition-sums solves its own B and answers
+    cfg = tmp_path / "periodic.cfg"
+    cfg.write_text(
+        "[shift]\nstates = a b\nedges = ab ba\n\n[experiment]\nkind = partition-sums\nn = 1..6\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "check route-agreement: PASS" in capsys.readouterr().out
+    rows = (tmp_path / "out" / "partition-sums.csv").read_text().splitlines()[1:]
+    # enumeration and matrix: one period-n point through a at even n, none at odd
+    sums = [row.split(",")[1:3] for row in rows]
+    assert sums == [["0", "0"] if n % 2 else ["1", "1"] for n in range(1, 7)]
+
+
 def test_flat_dirichlet_draws_what_dirichlet_draws():
     for seed in range(300):
         one = np.random.default_rng([seed, 6])
@@ -538,6 +555,65 @@ def test_gurevich_estimate_refuses_an_overflowing_root(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: dominant root inf overflows a float: the pressure is past the float range\n"
     )
+
+
+# kappa = 2.8e-10 underflows in the gap probe, so no finite c exists: the
+# kinds that read a constant refuse it, and gibbs, which reads none, answers
+UNCERTIFIED = (
+    "[shift]\nbuiltin = full-2\n\n[potential]\nrange = 2\n"
+    'value "aa" = -3\nvalue "ab" = -6\nvalue "ba" = -18\nvalue "bb" = 19\n\n'
+)
+
+
+@pytest.mark.parametrize(
+    "experiment, code",
+    [("kind = pressure", 2), ("kind = corollary3\ntrials = 2", 2), ("kind = gibbs", 0)],
+    ids=["pressure", "corollary3", "gibbs"],
+)
+def test_an_infinite_gap_prefactor_is_refused_where_it_is_read(
+    tmp_path, capsys, experiment, code
+):
+    cfg = tmp_path / "uncertified.cfg"
+    cfg.write_text(UNCERTIFIED + f"[experiment]\n{experiment}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err == (
+            "error: gap prefactor c = inf is not finite (kappa = 2.789468092868925e-10): "
+            "the iterate norms cannot be certified\n"
+        )
+    else:
+        assert err == "" and "result: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "experiment, probes",
+    [
+        ("kind = gibbs", 0),
+        ("kind = identities\ntrials = 2", 0),
+        ("kind = partition-sums", 0),
+        ("kind = pressure", 1),
+        ("kind = theorem1\ntrials = 3", 1),
+        ("kind = theorem2", 1),
+        ("kind = corollary2", 1),
+        ("kind = corollary3\ntrials = 3", 1),
+    ],
+    ids=lambda v: str(v).split("\n")[0].removeprefix("kind = "),
+)
+def test_the_gap_probe_runs_only_where_a_constant_is_read(
+    tmp_path, monkeypatch, experiment, probes
+):
+    # the perturbed potentials of corollary3 are read for their pressure and
+    # measure only, so the probe runs once, for the base potential
+    calls = []
+    probe = transfer._gap_prefactor
+    monkeypatch.setattr(transfer, "_gap_prefactor", lambda *args: calls.append(1) or probe(*args))
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(SYSTEM + f"[experiment]\n{experiment}\n")
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == probes
 
 
 def test_seeded_identities_run_with_a_drifting_reversed_row_passes(tmp_path, capsys):
@@ -1386,10 +1462,15 @@ def test_zero_max_diff_runs_with_zero_bumps(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["onto-a-file", "under-a-file"])
-def test_an_unwritable_output_exits_2_without_a_traceback(tmp_path, capsys, out):
+def test_an_unwritable_output_exits_2_without_a_traceback(tmp_path, capsys, monkeypatch, out):
+    # refused before the experiment runs: the build is never reached
+    def build(cfg):
+        raise AssertionError("the experiment ran before its output was made")
+
+    monkeypatch.setitem(cli._KINDS, "theorem1", cli._KINDS["theorem1"]._replace(build=build))
     (tmp_path / "file").write_text("")
     cfg = tmp_path / "ok.cfg"
-    cfg.write_text(GOLDEN + "[experiment]\nkind = pressure\n")
+    cfg.write_text(GOLDEN + "[experiment]\nkind = theorem1\ntrials = 3000\n")
     assert run_main(["run", str(cfg), "--out", str(tmp_path / out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno ") and err.count("\n") == 1

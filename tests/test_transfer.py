@@ -263,15 +263,18 @@ def test_gap_below_float_resolution_is_refused():
 
 def test_gap_prefactor_underflow_is_refused():
     # kappa = 2.8e-10: kappa**n underflows to 0 within the probe depth while
-    # the iterate norms sit above the noise floor, so no finite c exists
+    # the iterate norms sit above the noise floor, so no finite c exists.
+    # The solve answers; the certificate refuses on each read of c or a.
     shift = builtin_shift("full-2")
     phi = LocallyConstantFunction.from_values(
         shift,
         2,
         {("a", "a"): -3.0, ("a", "b"): -6.0, ("b", "a"): -18.0, ("b", "b"): 19.0},
     )
-    with pytest.raises(EigensolverError, match="c = inf is not finite"):
-        perron_data(shift, phi)
+    data = perron_data(shift, phi)
+    for name in ("c", "a", "c"):
+        with pytest.raises(EigensolverError, match="c = inf is not finite"):
+            getattr(data, name)
 
 
 def test_transfer_matrix_overflow_names_the_word():
