@@ -508,8 +508,9 @@ def _pick_observable(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # experiments
 #
-# The library reports and the experiment judges: each kind builds its reports
-# and CSV rows, and its checks decide the cross-checks those reports carry.
+# The library reports and the experiment judges: each kind's build returns
+# its CSV rows and then its checks, which decide the cross-checks carried by
+# the reports it already holds.
 
 
 def _report_row(cfg: ExperimentConfig, rep, **given) -> tuple:
@@ -561,7 +562,8 @@ def _build_pressure(cfg: ExperimentConfig):
         ("entropy_rate", entropy_rate(data.measure)),
         ("states", float(data.shift.n)),
     ]
-    return data, rows
+    attained = abs(metric_pressure(data.measure, data.phi) - data.pressure) <= IDENTITY_TOL
+    return rows, [Check("variational-identity", attained, "Gibbs measure attains the pressure")]
 
 
 def _build_gibbs(cfg: ExperimentConfig):
@@ -569,7 +571,9 @@ def _build_gibbs(cfg: ExperimentConfig):
     n_max = cfg.params.get("n-max", 8)
     cert = gibbs_certificate(data, n_max)
     word = "" if not cert.worst_word else ":".join(data.shift.labels(cert.worst_word))
-    return cert, [(n_max, cert.empirical, cert.apriori, cert.worst_ratio, word)]
+    rows = [(n_max, cert.empirical, cert.apriori, cert.worst_ratio, word)]
+    window = f"empirical {cert.empirical:.6g} within a-priori {cert.apriori:.6g}"
+    return rows, [Check("cylinder-window", cert.empirical <= cert.apriori, window)]
 
 
 def _build_partition_sums(cfg: ExperimentConfig):
@@ -587,7 +591,7 @@ def _build_partition_sums(cfg: ExperimentConfig):
         (n, ps.enumeration, ps.matrix, ps.rel_err, *gur.get(n, (math.nan, math.nan)))
         for n, ps in zip(n_range, sums)
     ]
-    return sums, rows
+    return rows, [_deviation_check("route-agreement", "relative", (ps.rel_err for ps in sums))]
 
 
 def _build_theorem1(cfg: ExperimentConfig):
@@ -601,7 +605,8 @@ def _build_theorem1(cfg: ExperimentConfig):
         depth = int(rng.integers(1, f_range + 1))
         f = random_function(data.shift, depth, rng, theta=cfg.phi.theta)
         reports.append(pressure_gap_bound(data, mu, f))
-    return reports, [_report_row(cfg, rep, trial=t) for t, rep in enumerate(reports)]
+    rows = [_report_row(cfg, rep, trial=t) for t, rep in enumerate(reports)]
+    return rows, [_slack_check(reports, "min slack")]
 
 
 def _build_theorem2(cfg: ExperimentConfig):
@@ -609,29 +614,31 @@ def _build_theorem2(cfg: ExperimentConfig):
     trials = cfg.params.get("trials", 20)
     n_range = cfg.params.get("n", range(1, 13))
     ell = next(k for k in range(1, data.phi.depth + 1) if data.phi.variation(k) == 0.0)
-    reports = []
-    given = []
+    reports, rows = [], []
     for trial in range(trials):
         rng = np.random.default_rng([cfg.seed, 2, trial])
         mu = random_markov_measure(data.shift, rng)
         f = random_function(data.shift, int(rng.integers(1, 3)), rng, theta=cfg.phi.theta)
         for n in n_range:
-            reports.append(finitary_gap_bound(data, mu, f, n))
-            given.append({"form": "general", "trial": trial, "n": n, "ell": 0})
+            forms = [("general", 0, finitary_gap_bound(data, mu, f, n))]
             if n >= 3 * ell:
-                reports.append(block_entropy_gap_bound(data, mu, f, n, ell))
-                given.append({"form": "markov", "trial": trial, "n": n, "ell": ell})
-    rows = [
-        _report_row(cfg, rep, radicand=rep.terms["raw_radicand"], **extra)
-        for rep, extra in zip(reports, given)
+                forms.append(("markov", ell, block_entropy_gap_bound(data, mu, f, n, ell)))
+            for form, depth, rep in forms:
+                reports.append(rep)
+                given = {"form": form, "trial": trial, "n": n, "ell": depth}
+                rows.append(_report_row(cfg, rep, radicand=rep.terms["raw_radicand"], **given))
+    chain = (r.terms.get("chain_dev", 0.0) for r in reports)
+    return rows, [
+        _slack_check(reports, "min non-vacuous slack"),
+        _deviation_check("block-chain-rule", "chain-rule", chain),
     ]
-    return reports, rows
 
 
 def _build_corollary1(cfg: ExperimentConfig):
     n_range = cfg.params.get("n", range(2, 21))
     reports = truncation_harness(cfg.model, _pick_observable(cfg), n_range)
-    return reports, [_report_row(cfg, rep) for rep in reports]
+    rows = [_report_row(cfg, rep) for rep in reports]
+    return rows, [_slack_check(reports, "min non-vacuous slack")]
 
 
 def _build_corollary2(cfg: ExperimentConfig):
@@ -650,7 +657,11 @@ def _build_corollary2(cfg: ExperimentConfig):
         )
         for rep in reports
     ]
-    return reports, rows
+    return rows, [
+        _slack_check(reports, "min slack on settled periods"),
+        _identity_check("orbit-entropy-identity", reports),
+        _deviation_check("orbit-trace", "trace", (r.terms["trace_dev"] for r in reports)),
+    ]
 
 
 def _build_corollary3(cfg: ExperimentConfig):
@@ -673,11 +684,12 @@ def _build_corollary3(cfg: ExperimentConfig):
         _report_row(cfg, rep, trial=trial, identity_residual=rep.terms["identity_dev"])
         for trial, rep in enumerate(reports)
     ]
-    return reports, rows
+    return rows, [_slack_check(reports, "min slack"), _identity_check("exchange-identity", reports)]
 
 
 def _build_identities(cfg: ExperimentConfig):
-    """Reports here are (system, check, value, tolerance) records."""
+    """Rows and checks both come from one list of (system, check, value,
+    tolerance) records."""
     trials = cfg.params.get("trials", 20)
     k_max = cfg.params.get("k-max", 10)
     n_max = cfg.params.get("n-max", 10)
@@ -739,77 +751,47 @@ def _build_identities(cfg: ExperimentConfig):
     records.append(("global", "pinsker-violations", float(violations), 0.0))
     # the trace check prints its line but writes no row
     rows = [(s, c, value, tol, value <= tol) for s, c, value, tol in records if c != "orbit-trace"]
-    return records, rows
+    return rows, [
+        Check(f"{s}/{c}", value <= tol, f"{value:.3g} vs {tol:.3g}") for s, c, value, tol in records
+    ]
 
 
 class _Kind(NamedTuple):
     keys: dict  # [experiment] key read beyond kind, seed and out -> its parser
     header: str
-    build: Callable  # ExperimentConfig -> (reports, rows)
-    checks: Callable  # reports -> list of Check
+    build: Callable  # ExperimentConfig -> (rows, checks)
     runs_on: tuple = _FINITE  # the [shift] sources it takes, None for no [shift]
     # the optional sections it reads -> the longest range of each
     sections: dict = {"potential": math.inf}
 
 
 _KINDS = {
-    "pressure": _Kind(
-        {},
-        "quantity,value",
-        _build_pressure,
-        lambda data: [
-            Check(
-                "variational-identity",
-                abs(metric_pressure(data.measure, data.phi) - data.pressure) <= IDENTITY_TOL,
-                "Gibbs measure attains the pressure",
-            )
-        ],
-    ),
+    "pressure": _Kind({}, "quantity,value", _build_pressure),
     "gibbs": _Kind(
         {"n-max": _count},
         "n_max,empirical_C,apriori_C,worst_ratio,worst_word",
         _build_gibbs,
-        lambda cert: [
-            Check(
-                "cylinder-window",
-                cert.empirical <= cert.apriori,
-                f"empirical {cert.empirical:.6g} within a-priori {cert.apriori:.6g}",
-            )
-        ],
     ),
     "partition-sums": _Kind(
         {"state": _text, "n": _size},
         "n,enumeration,matrix,rel_err,rate,residual",
         _build_partition_sums,
-        lambda sums: [
-            _deviation_check("route-agreement", "relative", (ps.rel_err for ps in sums))
-        ],
         sections={"potential": 2},
     ),
     "theorem1": _Kind(
         {"trials": _count, "f-range": _count, "theta": _theta},
         "trial,seed,pressure_gap,f_norm,lhs,rhs,slack,vacuous",
         _build_theorem1,
-        lambda reports: [_slack_check(reports, "min slack")],
     ),
     "theorem2": _Kind(
         {"trials": _count, "n": _size, "theta": _theta},
         "form,trial,seed,n,ell,radicand,lhs,rhs,slack,vacuous",
         _build_theorem2,
-        lambda reports: [
-            _slack_check(reports, "min non-vacuous slack"),
-            _deviation_check(
-                "block-chain-rule",
-                "chain-rule",
-                (r.terms.get("chain_dev", 0.0) for r in reports),
-            ),
-        ],
     ),
     "corollary1": _Kind(
         {"n": _size},
         "n,pressure_gap,lhs,rhs,slack,vacuous",
         _build_corollary1,
-        lambda reports: [_slack_check(reports, "min non-vacuous slack")],
         runs_on=("model",),
         sections={"observable": math.inf},
     ),
@@ -817,11 +799,6 @@ _KINDS = {
         {"k": _period, "n": _truncation, "theta": _theta},
         "k,lhs,rhs,slack,pre_asymptotic,combined_lhs,combined_rhs,identity_dev",
         _build_corollary2,
-        lambda reports: [
-            _slack_check(reports, "min slack on settled periods"),
-            _identity_check("orbit-entropy-identity", reports),
-            _deviation_check("orbit-trace", "trace", (r.terms["trace_dev"] for r in reports)),
-        ],
         runs_on=(*_FINITE, "model"),
         sections={"potential": 2, "observable": math.inf},
     ),
@@ -829,20 +806,12 @@ _KINDS = {
         {"trials": _count, "max-diff": _at_least(0, _real), "theta": _theta},
         "trial,seed,sup_diff,lhs,rhs,slack,identity_residual",
         _build_corollary3,
-        lambda reports: [
-            _slack_check(reports, "min slack"),
-            _identity_check("exchange-identity", reports),
-        ],
         sections={"potential": 2, "perturbation": 2, "observable": math.inf},
     ),
     "identities": _Kind(
         {"trials": _count, "k-max": _count, "n-max": _count},
         "system,check,value,tolerance,ok",
         _build_identities,
-        lambda records: [
-            Check(f"{system}/{check}", value <= tol, f"{value:.3g} vs {tol:.3g}")
-            for system, check, value, tol in records
-        ],
         runs_on=(*_FINITE, "model", None),
         sections={},
     ),
@@ -852,8 +821,7 @@ _KINDS = {
 def run_experiment(cfg: ExperimentConfig) -> int:
     kind = _KINDS[cfg.kind]
     os.makedirs(cfg.out, exist_ok=True)
-    reports, rows = kind.build(cfg)
-    checks = kind.checks(reports)
+    rows, checks = kind.build(cfg)
     path = os.path.join(cfg.out, f"{cfg.kind}.csv")
     _write_csv(path, kind.header, rows)
     print(f"experiment: {cfg.kind}")

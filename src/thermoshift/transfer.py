@@ -224,8 +224,15 @@ def perron_data(shift: TransitionMatrix, phi: LocallyConstantFunction) -> Perron
     # published quantity is invariant under the joint rescaling anyway
     h = u / math.exp(float(np.mean(np.log(u))))
     nu = v / float(h @ v)
-    p = b * nu[None, :] / (lam * nu[:, None])
-    p /= p.sum(axis=1, keepdims=True)
+    # lam * nu underflows where the Perron vectors span past the float range:
+    # the kernel is refused below, not warned about
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p = b * nu[None, :] / (lam * nu[:, None])
+        p /= p.sum(axis=1, keepdims=True)
+    if not np.isfinite(p).all():
+        raise EigensolverError(
+            "Gibbs kernel has non-finite entries: the Perron vectors span past the float range"
+        )
     measure = MarkovMeasure(base=shift, kernel=p, initial=h * nu)
 
     kappa = lambda2 / lam
@@ -376,7 +383,8 @@ def gibbs_certificate(data: PerronData, n_max: int) -> GibbsCertificate:
     range 2 the ratio is exactly h[first] * nu[last], so the empirical
     constant must sit inside the eigenvector window; the caller judges that.
     Words grow one symbol at a time, in lexicographic order, carrying their
-    cylinder masses and Birkhoff sums along.
+    cylinder masses and Birkhoff sums along.  A ratio past the float range
+    raises ValueError naming its word and length.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -400,13 +408,19 @@ def gibbs_certificate(data: PerronData, n_max: int) -> GibbsCertificate:
                 for j, t, pij in steps[w[-1]]
             ]
         k = n if r == 1 else n - 1
-        for w, mw, s in level:
-            if r == 1:
-                s += phi.table[w[-1:]]
-            ratio = mw * math.exp(k * pres - s)
-            lo, hi = min(lo, ratio), max(hi, ratio)
-            if max(ratio, 1.0 / ratio) > max(worst, 1.0 / worst):
-                worst, worst_word = ratio, w
+        try:
+            for w, mw, s in level:
+                if r == 1:
+                    s += phi.table[w[-1:]]
+                ratio = mw * math.exp(k * pres - s)
+                lo, hi = min(lo, ratio), max(hi, ratio)
+                if max(ratio, 1.0 / ratio) > max(worst, 1.0 / worst):
+                    worst, worst_word = ratio, w
+        except (OverflowError, ZeroDivisionError):  # a mass or an exp past the float range
+            spelled = ":".join(map(str, shift.labels(w)))
+            raise ValueError(
+                f"cylinder ratio of word {spelled!r} (length {n}) is past the float range"
+            ) from None
     empirical = max(hi, 1.0 / lo)
     big = float(np.max(data.h) * np.max(data.nu))
     small = float(np.min(data.h) * np.min(data.nu))

@@ -1,14 +1,19 @@
+import contextlib
 import dataclasses
+import io
+import itertools
 import math
+import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermoshift import approx, cli, measures, transfer
@@ -104,6 +109,14 @@ def test_list_builtins(capsys):
 
 def test_missing_config_is_usage_error(tmp_path, capsys):
     assert run_main(["run", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize("argv", [[], ["run"]], ids=["no-command", "no-config"])
+def test_a_run_without_a_config_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_main(argv)
+    assert exc.value.code == 2
+    assert "expected: thermoshift run <config> (or --list-builtins)" in capsys.readouterr().err
 
 
 def test_theorem1_csv_contract(tmp_path):
@@ -869,6 +882,9 @@ def test_sections_a_kind_reads_still_run(tmp_path, capsys):
 # [experiment] key of the kinds that read it, and every value is parsed before
 # any solve.
 
+GOLDEN_MEAN = "[shift]\nbuiltin = golden-mean\n"
+PRESSURE = "[experiment]\nkind = pressure\n"
+
 
 @pytest.mark.parametrize(
     "text, message",
@@ -952,6 +968,64 @@ def test_sections_a_kind_reads_still_run(tmp_path, capsys):
             "[shift]\nsystem = golden-range2\n[experiment]\nkind = theorem1\ntheta = 1.5\n",
             "line 5: theta must lie in (0, 1)",
         ),
+        ("[shift\nbuiltin = full-2\n" + PRESSURE, "line 1: unterminated section header"),
+        (GOLDEN_MEAN + "[ ]\n" + PRESSURE, "line 3: empty section header"),
+        (
+            GOLDEN_MEAN + "[observable f g]\n" + PRESSURE,
+            "line 3: section header takes at most one name",
+        ),
+        (GOLDEN_MEAN + "[observable]\n" + PRESSURE, "line 3: observable sections need a name"),
+        ("kind = pressure\n" + GOLDEN_MEAN + PRESSURE, "line 1: entry before any section header"),
+        (
+            GOLDEN_MEAN + "[potential]\ndefault = one\n" + PRESSURE,
+            "line 4: expected a number, got 'one'",
+        ),
+        (
+            GOLDEN_MEAN + "[experiment]\nkind = theorem1\ntrials = two\n",
+            "line 5: expected an integer, got 'two'",
+        ),
+        (
+            "[shift]\nstates = s0 s1\nedges = s0:s1 s1:s0 s1:s1\n"
+            '[potential]\nvalue "s0s1" = 1.0\n' + PRESSURE,
+            "line 5: multi-character state labels need colon-separated words",
+        ),
+        (
+            "[shift]\nmodel = geometric\n[experiment]\nkind = corollary1\n",
+            "line 2: cannot parse model 'geometric'",
+        ),
+        (
+            "[shift]\nmodel = poisson(2)\n[experiment]\nkind = corollary1\n",
+            "line 2: unknown weight family 'poisson'",
+        ),
+        (
+            GOLDEN_MEAN + "[potential]\nvalue = 1.5\n" + PRESSURE,
+            'line 4: value entries look like: value "ab" = 1.5',
+        ),
+        (
+            GOLDEN_MEAN + '[potential]\nrange = 2\nvalue "a" = 1.0\n' + PRESSURE,
+            "line 5: word 'a' has length 1, range is 2",
+        ),
+        (
+            "[shift]\nmodel = geometric(0.5)\n[observable f]\ndefault = 1.0\n"
+            "[experiment]\nkind = corollary1\n",
+            'line 4: countable-model observables take only value "s" = x entries',
+        ),
+        (
+            "[shift]\n" + PRESSURE,
+            "line 1: shift section needs system, builtin, model, or states+edges",
+        ),
+        ("[shift]\nstates = a b\n" + PRESSURE, "line 2: explicit shifts need an edges entry"),
+        (
+            GOLDEN_MEAN + GOLDEN_MEAN + PRESSURE,
+            "error: at most one [shift], [potential], [perturbation] each",
+        ),
+        (GOLDEN_MEAN + "[experiment]\nseed = 1\n", "line 3: experiment needs a kind"),
+        ("[shift]\nstates = a b\nedges = ab abc\n" + PRESSURE, "line 3: cannot parse edge 'abc'"),
+        (
+            GOLDEN_MEAN + "[observable f]\ndefault = 1.0\n[observable f]\ndefault = 2.0\n"
+            "[experiment]\nkind = corollary3\n",
+            "line 5: duplicate observable 'f'",
+        ),
     ],
     ids=[
         "two-sources",
@@ -972,6 +1046,25 @@ def test_sections_a_kind_reads_still_run(tmp_path, capsys):
         "theta-on-corollary2-model",
         "model-constructor",
         "theta-out-of-range",
+        "unterminated-header",
+        "empty-header",
+        "two-names",
+        "nameless-observable",
+        "entry-before-header",
+        "not-a-number",
+        "not-an-integer",
+        "multi-character-labels",
+        "unparsed-model",
+        "unknown-family",
+        "plain-value-entry",
+        "word-off-the-range",
+        "plain-key-on-a-model-observable",
+        "shift-without-source",
+        "states-without-edges",
+        "two-shifts",
+        "kindless-experiment",
+        "unparsed-edge",
+        "duplicate-observable",
     ],
 )
 def test_config_values_said_one_way_exit_2_with_their_line(tmp_path, capsys, text, message):
@@ -1529,3 +1622,148 @@ def test_a_word_index_is_taken_only_by_value_entries_of_tables(kind, entries):
     [section] = cli._split_sections(text)
     assert [word for word, _, _ in section.values] == [w for _, w in entries if w is not None]
     assert list(section.plain) == [key for key, w in entries if w is None]
+
+
+# The exit-code contract: 0 every check passed, 1 a check failed (and says
+# so on its line), 2 the config was refused with one error line.  Three
+# configs that once ended in a traceback head the cases.
+
+GIBBS_MASS_UNDERFLOW = (
+    "[shift]\nstates = a b\nedges = aa ab ba bb\n[potential]\nrange = 2\n"
+    'default = 664.9597495989476\nvalue "ba" = 489.1226277746132\n'
+    'value "bb" = 328.7640727285466\n[experiment]\nkind = gibbs\nn-max = 5\n'
+)
+GIBBS_EXP_OVERFLOW = (
+    "[shift]\nstates = a b c d\nedges = aa ab ba bb bc ca cb cd da dc dd\n"
+    '[potential]\nrange = 1\ndefault = -88.23546597355327\nvalue "b" = 72.94588124891828\n'
+    'value "c" = 35.37968894443523\nvalue "d" = -52.93365380595616\n'
+    "[experiment]\nkind = gibbs\nn-max = 5\n"
+)
+KERNEL_PAST_THE_FLOAT_RANGE = (
+    "[shift]\nstates = a b c\nedges = ab ac ba bb bc ca cb\n[potential]\nrange = 2\n"
+    'default = -675.9055621058365\nvalue "ab" = 47.66972063151616\n'
+    'value "bb" = -124.71904480111493\nvalue "ba" = -62.444515191927735\n'
+    "[experiment]\nkind = theorem2\ntrials = 1\nn = 1..4\n"
+)
+
+# the [experiment] keys of each finite-shift kind, and the kinds whose
+# potentials have range at most 2
+CONTRACT_KINDS = {
+    "pressure": st.just(""),
+    "gibbs": st.integers(1, 7).map("n-max = {}\n".format),
+    "partition-sums": st.just(""),
+    "theorem1": st.just("trials = 2\n"),
+    "theorem2": st.just("trials = 1\nn = 1..4\n"),
+    "corollary2": st.just("k = 3..5\n"),
+    "corollary3": st.just("trials = 2\n"),
+}
+SHORT_RANGE = ("partition-sums", "corollary2", "corollary3")
+
+
+@st.composite
+def contract_configs(draw) -> str:
+    """A finite shift on 1-4 states with a potential of range 1-3 and values
+    in +-1000, or a geometric or zeta model, under one kind."""
+    if draw(st.integers(0, 8)) == 0:
+        kind = draw(st.sampled_from(["corollary1", "corollary2"]))
+        model = draw(
+            st.sampled_from(["geometric", "zeta"]).flatmap(
+                lambda family: st.floats(0.0, 1.5 if family == "geometric" else 1200.0).map(
+                    lambda arg: f"{family}({arg!r})"
+                )
+            )
+        )
+        keys = "k = 3..5\n" if kind == "corollary2" else ""
+        return f"[shift]\nmodel = {model}\n[experiment]\nkind = {kind}\n{keys}"
+    kind = draw(st.sampled_from(list(CONTRACT_KINDS)))
+    states = "abcd"[: draw(st.integers(1, 4))]
+    edges = [u + v for u, v in itertools.product(states, repeat=2) if draw(st.booleans())]
+    depth = draw(st.integers(1, 2 if kind in SHORT_RANGE else 3))
+    words = [
+        "".join(w)
+        for w in itertools.product(states, repeat=depth)
+        if all(a + b in edges for a, b in zip(w, w[1:]))
+    ]
+    values = st.floats(-1000.0, 1000.0)
+    chosen = draw(st.lists(st.sampled_from(words), unique=True, max_size=3)) if words else []
+    lines = [f'value "{w}" = {draw(values)!r}' for w in chosen]
+    return (
+        f"[shift]\nstates = {' '.join(states)}\nedges = {' '.join(edges)}\n"
+        f"[potential]\nrange = {depth}\ndefault = {draw(values)!r}\n"
+        + "".join(line + "\n" for line in lines)
+        + f"[experiment]\nkind = {kind}\n{draw(CONTRACT_KINDS[kind])}"
+    )
+
+
+def run_in_process(text: str) -> tuple:
+    """(exit code, stdout, stderr) of one run of text, RuntimeWarnings raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cfg = os.path.join(tmp, "contract.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", cfg, "--out", os.path.join(tmp, "out")])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=contract_configs())
+@example(text=GIBBS_MASS_UNDERFLOW)
+@example(text=GIBBS_EXP_OVERFLOW)
+@example(text=KERNEL_PAST_THE_FLOAT_RANGE)
+def test_every_config_answers_or_is_refused(text):
+    code, out, err = run_in_process(text)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert re.search(r"^check \S+: FAIL \(", out, re.MULTILINE)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (GIBBS_MASS_UNDERFLOW, "cylinder ratio of word 'b:b:b' (length 3) is past the float range"),
+        (
+            GIBBS_EXP_OVERFLOW,
+            "cylinder ratio of word 'a:a:a:a:a' (length 5) is past the float range",
+        ),
+        (
+            KERNEL_PAST_THE_FLOAT_RANGE,
+            "Gibbs kernel has non-finite entries: the Perron vectors span past the float range",
+        ),
+    ],
+    ids=["gibbs-mass-underflow", "gibbs-exp-overflow", "kernel-past-the-float-range"],
+)
+def test_values_past_the_float_range_are_refused(text, message):
+    assert run_in_process(text) == (2, "", f"error: {message}\n")
+
+
+def test_partition_sums_on_a_reducible_shift_exit_2_with_one_error_line():
+    text = "[shift]\nstates = a b\nedges = aa ab bb\n[experiment]\nkind = partition-sums\n"
+    code, out, err = run_in_process(text)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_multi_character_labels_write_the_csv_of_one_character_labels(tmp_path):
+    # a range-3 potential recodes to blocks labelled by their states' labels
+    values = {"aaa": 0.3, "aba": -0.7, "bab": 1.1, "bba": 0.2}
+    csvs = []
+    for states in (["a", "b"], ["s0", "s1"]):
+        spell = dict(zip("ab", states))
+        labels = [":".join(spell[c] for c in word) for word in values]
+        edges = " ".join(spell[u] + ":" + spell[v] for u in "ab" for v in "ab")
+        cfg = tmp_path / f"{states[0]}.cfg"
+        cfg.write_text(
+            f"[shift]\nstates = {' '.join(states)}\nedges = {edges}\n[potential]\nrange = 3\n"
+            "default = 0.1\n"
+            + "".join(f'value "{w}" = {v}\n' for w, v in zip(labels, values.values()))
+            + "[experiment]\nkind = pressure\n"
+        )
+        out = tmp_path / states[0]
+        assert run_main(["run", str(cfg), "--out", str(out)]) == 0
+        csvs.append((out / "pressure.csv").read_bytes())
+    assert csvs[0] == csvs[1]
