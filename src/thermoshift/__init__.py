@@ -90,81 +90,3 @@ from .transfer import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AMBIENT_A",
-    "BUILTIN_SHIFTS",
-    "BUILTIN_SYSTEMS",
-    "BoundReport",
-    "ConfigError",
-    "CountableModel",
-    "DEFAULT_THETA",
-    "EigensolverError",
-    "EmptyShiftError",
-    "EnumerationLimitError",
-    "ExperimentConfig",
-    "FiniteSubsystem",
-    "GibbsCertificate",
-    "LocallyConstantFunction",
-    "MarkovMeasure",
-    "Norms",
-    "NotMixingError",
-    "PartitionSum",
-    "PeriodicOrbitMeasure",
-    "PerronData",
-    "RadicandError",
-    "Recoding",
-    "TransitionMatrix",
-    "add",
-    "block_entropy",
-    "block_entropy_gap_bound",
-    "builtin_shift",
-    "builtin_system",
-    "cohomology_residual",
-    "combined_orbit_harness",
-    "conditional_entropy",
-    "conditional_kl_integral",
-    "entropy_averaging_check",
-    "entropy_rate",
-    "enumerate_periodic",
-    "enumerate_words",
-    "equilibrium",
-    "finitary_gap_bound",
-    "geometric_model",
-    "gibbs_certificate",
-    "gurevich_estimate",
-    "higher_block_recode",
-    "information_function",
-    "integrate",
-    "is_topologically_mixing",
-    "kl_divergence",
-    "main",
-    "make_markov_measure",
-    "metric_pressure",
-    "normalize_zero_pressure",
-    "orbit_entropy_identity",
-    "parse_config",
-    "partition_sum",
-    "periodic_orbit_harness",
-    "periodic_orbit_measure",
-    "periodic_orbit_measures",
-    "perron_data",
-    "pinsker_gap",
-    "point_mass",
-    "pressure",
-    "pressure_gap_bound",
-    "random_function",
-    "random_markov_measure",
-    "recode_to_markovian",
-    "reduction_step_norms",
-    "reverse_kernel",
-    "run_experiment",
-    "scale",
-    "stability_bound",
-    "sup_diff",
-    "transfer_matrix",
-    "truncate",
-    "truncation_harness",
-    "zeta_model",
-    "build_sft",
-]

@@ -834,21 +834,23 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     return 0 if not failed else 1
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="thermoshift",
+    description="Equilibrium-measure experiments on subshifts of finite type",
+)
+_PARSER.add_argument("command", nargs="?", choices=["run"], help="run a config file")
+_PARSER.add_argument("config", nargs="?", help="path to the experiment config")
+_PARSER.add_argument("--out", help="output directory (overrides the config)")
+_PARSER.add_argument("--seed", type=int, help="seed override")
+_PARSER.add_argument(
+    "--list-builtins", action="store_true", help="list builtin shifts and systems"
+)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="thermoshift",
-        description="Equilibrium-measure experiments on subshifts of finite type",
-    )
-    parser.add_argument("command", nargs="?", choices=["run"], help="run a config file")
-    parser.add_argument("config", nargs="?", help="path to the experiment config")
-    parser.add_argument("--out", help="output directory (overrides the config)")
-    parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument(
-        "--list-builtins", action="store_true", help="list builtin shifts and systems"
-    )
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.seed is not None and args.seed < 0:
-        parser.error(f"--seed must be at least 0, got {args.seed}")
+        _PARSER.error(f"--seed must be at least 0, got {args.seed}")
 
     if args.list_builtins:
         for name in sorted(BUILTIN_SHIFTS):
@@ -857,7 +859,7 @@ def main(argv=None) -> int:
             print(f"system {name}")
         return 0
     if args.command != "run" or args.config is None:
-        parser.error("expected: thermoshift run <config> (or --list-builtins)")
+        _PARSER.error("expected: thermoshift run <config> (or --list-builtins)")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
@@ -869,7 +871,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -84,6 +84,12 @@ def transfer_matrix(shift: TransitionMatrix, phi: LocallyConstantFunction) -> np
             raise ValueError(
                 f'potential value {phi.table[w]!r} on word "{spelled}" overflows exp'
             ) from None
+    if not b.any():
+        top = max(phi.table[w] for _, _, w in _edge_words(shift, phi))
+        raise ValueError(
+            f"every edge weight underflows to 0.0: the largest, exp({top!r}), "
+            "is below the float range"
+        )
     return b
 
 
@@ -343,8 +349,15 @@ def gurevich_estimate(
 
     Rows where the diagonal entry vanishes (short return times) are skipped;
     a diagonal entry past the float range raises ValueError naming its n.
-    lam is solved here, not by perron_data, so a periodic shift still answers.
+    lam is solved here, not by perron_data, so a periodic shift still answers;
+    a reducible one is refused before the solve.
     """
+    components = shift._components[0]
+    if components > 1:
+        raise ValueError(
+            f"the shift has {components} strong components: the Gurevich "
+            "estimate needs an irreducible shift"
+        )
     a = shift.index(state) if not isinstance(state, (int, np.integer)) else int(state)
     b = transfer_matrix(shift, phi)
     logp = math.log(_spectrum(b)[0])

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -232,7 +231,7 @@ def test_identities_experiment(tmp_path, capsys):
 
 def test_console_script_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "thermoshift.cli", "--list-builtins"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "thermoshift", "--list-builtins"],
         capture_output=True,
         text=True,
     )
@@ -415,6 +414,7 @@ def test_empty_ranges_and_zero_counts_exit_2(
         ("model = geometric(0.5)", "kind = corollary1\nn = 1..3"),
         ("system = golden-range2", "kind = corollary2\nk = 3..4"),
         ("model = zeta(2)", "kind = corollary2\nn = 2\nk = 3"),
+        ("model = zeta(2)", "kind = corollary1\nn = 1..20"),
     ],
 )
 def test_sizes_and_periods_at_their_floor_run(tmp_path, shift, experiment):
@@ -485,9 +485,7 @@ def test_overflowing_partition_sum_exits_2_without_warnings(tmp_path, capsys):
         '[potential]\nrange = 1\ndefault = 1\nvalue "a" = 700.0\nvalue "b" = -2.0\n'
         "[experiment]\nkind = partition-sums\n"
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "error: partition sum at n=4 overflows a float" in capsys.readouterr().err
 
 
@@ -497,13 +495,11 @@ def test_gurevich_estimate_refuses_only_the_entries_it_reads():
         '[potential]\nrange = 1\ndefault = 1\nvalue "a" = 700.0\nvalue "b" = -2.0\n'
         "[experiment]\nkind = partition-sums\n"
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        # (B^3) has entries past the float range, but not on the diagonal
-        rows = transfer.gurevich_estimate(cfg.shift, cfg.phi, "a", 3)
-        assert [n for n, _, _ in rows] == [2]
-        with pytest.raises(ValueError, match=r"partition sum at n=4 overflows a float"):
-            transfer.gurevich_estimate(cfg.shift, cfg.phi, "a", 4)
+    # (B^3) has entries past the float range, but not on the diagonal
+    rows = transfer.gurevich_estimate(cfg.shift, cfg.phi, "a", 3)
+    assert [n for n, _, _ in rows] == [2]
+    with pytest.raises(ValueError, match=r"partition sum at n=4 overflows a float"):
+        transfer.gurevich_estimate(cfg.shift, cfg.phi, "a", 4)
 
 
 def test_partition_sums_answer_on_a_periodic_shift(tmp_path, capsys):
@@ -513,9 +509,7 @@ def test_partition_sums_answer_on_a_periodic_shift(tmp_path, capsys):
     cfg.write_text(
         "[shift]\nstates = a b\nedges = ab ba\n\n[experiment]\nkind = partition-sums\nn = 1..6\n"
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert "check route-agreement: PASS" in capsys.readouterr().out
     rows = (tmp_path / "out" / "partition-sums.csv").read_text().splitlines()[1:]
     # enumeration and matrix: one period-n point through a at even n, none at odd
@@ -545,9 +539,7 @@ def test_overflowing_root_exits_2_without_warnings(tmp_path, capsys, kind):
         "[shift]\nbuiltin = full-2\n\n[potential]\nrange = 1\ndefault = 709.7\n\n"
         f"[experiment]\nkind = {kind}\n"
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         "error: dominant root inf overflows a float: the pressure is past the float range\n"
     )
@@ -562,9 +554,7 @@ def test_gurevich_estimate_refuses_an_overflowing_root(tmp_path, capsys):
         "[shift]\nbuiltin = full-2\n\n[potential]\nrange = 1\ndefault = 709.7\n\n"
         "[experiment]\nkind = partition-sums\nn = 1\n"
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         "error: dominant root inf overflows a float: the pressure is past the float range\n"
     )
@@ -588,9 +578,7 @@ def test_an_infinite_gap_prefactor_is_refused_where_it_is_read(
 ):
     cfg = tmp_path / "uncertified.cfg"
     cfg.write_text(UNCERTIFIED + f"[experiment]\n{experiment}\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == code
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == code
     out, err = capsys.readouterr()
     if code == 2:
         assert err == (
@@ -637,9 +625,7 @@ def test_seeded_identities_run_with_a_drifting_reversed_row_passes(tmp_path, cap
         "[shift]\nsystem = golden-zero\n\n"
         "[experiment]\nkind = identities\ntrials = 2\nseed = 1780381541\n"
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert "check tribonacci-zero/kl-pressure: PASS" in capsys.readouterr().out
     assert len((tmp_path / "out" / "identities.csv").read_text().splitlines()) == 37
 
@@ -1026,6 +1012,10 @@ PRESSURE = "[experiment]\nkind = pressure\n"
             "[experiment]\nkind = corollary3\n",
             "line 5: duplicate observable 'f'",
         ),
+        (
+            "[shift]\nbuiltin = full-2\n[potential]\nrange = 16\ndefault = 0.1\n" + PRESSURE,
+            "line 3: range 16 recodes to 32768 states, the dense-solve limit is 1024",
+        ),
     ],
     ids=[
         "two-sources",
@@ -1065,6 +1055,7 @@ PRESSURE = "[experiment]\nkind = pressure\n"
         "kindless-experiment",
         "unparsed-edge",
         "duplicate-observable",
+        "recoding-past-the-state-cap",
     ],
 )
 def test_config_values_said_one_way_exit_2_with_their_line(tmp_path, capsys, text, message):
@@ -1519,6 +1510,10 @@ TABLE_HEADERS = ["[potential]", "[perturbation]", "[observable f]"]
             for depth in (0, -1)
         ),
         (
+            GOLDEN + '[potential]\nrange "ab" = 2\ndefault = 0.1\n[experiment]\nkind = pressure\n',
+            "line 4: key 'range' does not take a word index",
+        ),
+        (
             SYSTEM + "[experiment]\nkind = corollary3\nmax-diff = -0.5\n",
             "line 5: max-diff must be at least 0, got -0.5",
         ),
@@ -1532,6 +1527,7 @@ TABLE_HEADERS = ["[potential]", "[perturbation]", "[observable f]"]
         ),
         "range-0",
         "range-minus-1",
+        "word-on-range-in-potential-on-pressure",
         "negative-max-diff",
     ],
 )
@@ -1645,6 +1641,12 @@ KERNEL_PAST_THE_FLOAT_RANGE = (
     'value "bb" = -124.71904480111493\nvalue "ba" = -62.444515191927735\n'
     "[experiment]\nkind = theorem2\ntrials = 1\nn = 1..4\n"
 )
+REDUCIBLE = "[shift]\nstates = a b\nedges = aa ab bb\n[experiment]\nkind = partition-sums\n"
+# exp(-927.86...) is 0.0 on every edge
+WEIGHTS_UNDERFLOW = (
+    "[shift]\nstates = a b c d\nedges = ac bb bd cb da\n[potential]\nrange = 1\n"
+    "default = -927.8634831245136\n[experiment]\nkind = {}\n"
+)
 
 # the [experiment] keys of each finite-shift kind, and the kinds whose
 # potentials have range at most 2
@@ -1696,10 +1698,9 @@ def contract_configs(draw) -> str:
 
 
 def run_in_process(text: str) -> tuple:
-    """(exit code, stdout, stderr) of one run of text, RuntimeWarnings raised."""
+    """(exit code, stdout, stderr) of one run of text."""
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
+    with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "contract.cfg")
         with open(cfg, "w") as fh:
             fh.write(text)
@@ -1734,16 +1735,34 @@ def test_every_config_answers_or_is_refused(text):
             KERNEL_PAST_THE_FLOAT_RANGE,
             "Gibbs kernel has non-finite entries: the Perron vectors span past the float range",
         ),
+        (
+            REDUCIBLE,
+            "the shift has 2 strong components: the Gurevich estimate needs an irreducible shift",
+        ),
+        *(
+            (
+                WEIGHTS_UNDERFLOW.format(kind),
+                "every edge weight underflows to 0.0: the largest, exp(-927.8634831245136), "
+                "is below the float range",
+            )
+            for kind in ("partition-sums", "pressure")
+        ),
     ],
-    ids=["gibbs-mass-underflow", "gibbs-exp-overflow", "kernel-past-the-float-range"],
+    ids=[
+        "gibbs-mass-underflow",
+        "gibbs-exp-overflow",
+        "kernel-past-the-float-range",
+        "partition-sums-reducible",
+        "partition-sums-weights-underflow",
+        "pressure-weights-underflow",
+    ],
 )
 def test_values_past_the_float_range_are_refused(text, message):
     assert run_in_process(text) == (2, "", f"error: {message}\n")
 
 
 def test_partition_sums_on_a_reducible_shift_exit_2_with_one_error_line():
-    text = "[shift]\nstates = a b\nedges = aa ab bb\n[experiment]\nkind = partition-sums\n"
-    code, out, err = run_in_process(text)
+    code, out, err = run_in_process(REDUCIBLE)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
