@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice, tee
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .bounds import BoundReport, gibbs_report
 from .measures import entropy_rate, integrate
 from .potential import LocallyConstantFunction, sup_diff
 from .shift import build_sft, enumerate_words
-from .transfer import PerronData, edge_values, perron_data
+from .transfer import PROBE_BLOCK_ENTRIES, PerronData, edge_values, perron_data
 
 AMBIENT_A = math.sqrt(2.0)
 
@@ -226,6 +227,8 @@ class PeriodicOrbitMeasure:
     radius) so that long periods neither overflow nor underflow.  trace_dev
     is the distance |tr (B/rho)^k - sum_i (lambda_i/rho)^k| / max(1, trace)
     between the normalizer and the eigenvalue sum, for the caller to judge.
+    lift_trace and marginal are the readings of the range pass that made
+    the measure, behind block_entropy and marginal_entropy.
     """
 
     k: int
@@ -233,6 +236,8 @@ class PeriodicOrbitMeasure:
     log_normalizer: float
     trace: float  # tr (B / rho)^k = Z / rho^k
     trace_dev: float
+    lift_trace: float  # trace of the top-right block of lift^k
+    marginal: float  # entropy of diag((B / rho)^k) / trace
     family: _OrbitFamily = field(repr=False)
 
     def expectation(self, f: LocallyConstantFunction) -> float:
@@ -244,7 +249,7 @@ class PeriodicOrbitMeasure:
             raise ValueError("observable lives on a different shift")
         r, k = f.depth, self.k
         m = min(r, k)
-        closing = self.power if m == 1 else np.linalg.matrix_power(self.family.scaled, k - m + 1)
+        closing = self.power if m == 1 else self.family.powers(k - m + 1)
         closing = closing.tolist()  # plain floats: the same products, no dispatch
         scaled = self.family.rows
         table = f.table
@@ -265,15 +270,34 @@ class PeriodicOrbitMeasure:
         [[B, B*phi], [0, B]]^k.  That route never uses the invariance of nu
         under rotation, so orbit_entropy_identity compares two evaluations.
         """
-        n = self.family.base.n
-        corner = np.linalg.matrix_power(self.family.lift, self.k)[:n, n:]
-        return float(self.log_normalizer - np.trace(corner) / self.trace)
+        return self.log_normalizer - self.lift_trace / self.trace
 
     def marginal_entropy(self) -> float:
         """Entropy of the first symbol, whose law is diag(B^k) / Z."""
-        mass = np.diag(self.power) / self.trace
-        live = mass[mass > 0.0]
-        return float(-np.sum(live * np.log(live)))
+        return self.marginal
+
+
+class _Powers:
+    """Powers of one square matrix a, each formed as np.linalg.matrix_power
+    forms it, so with its bits: k <= 3 by its shortcuts (a, a @ a and
+    (a @ a) @ a), otherwise low bit first, result @ a^(2^j).  The squarings
+    a^(2^j) are kept, so a range of periods makes each of them once."""
+
+    def __init__(self, a: np.ndarray):
+        self.squarings = [a]
+
+    def __call__(self, k: int) -> np.ndarray:
+        if k == 3:
+            return self(2) @ self.squarings[0]
+        z = self.squarings
+        result, j = None, 0
+        while k >> j:
+            if j == len(z):
+                z.append(z[-1] @ z[-1])
+            if k >> j & 1:
+                result = z[j] if result is None else result @ z[j]
+            j += 1
+        return result
 
 
 class _OrbitFamily:
@@ -281,9 +305,9 @@ class _OrbitFamily:
 
     B / rho and the ratios lambda_i / rho are formed once from the
     PerronData, whose lam is rho and whose pressure is log rho; the tilted
-    lift and the word lists of each length once, when a measure reads them.
-    Every period still forms its own (B / rho)^k and makes every refusal of
-    periodic_orbit_measure, in the same order and with the same messages.
+    lift, the squarings of B / rho and of the lift, and the word lists of
+    each length once, when a measure reads them.  measures(periods) is the
+    one range pass behind every periodic-orbit measure.
     """
 
     def __init__(self, data: PerronData):
@@ -292,15 +316,19 @@ class _OrbitFamily:
         self.scaled = data.matrix / data.lam
         self.rows = self.scaled.tolist()  # B / rho as lists, for the per-word products
         self.ratios = data.eigenvalues / data.lam
+        self.powers = _Powers(self.scaled)
         self._words = {}
 
     @cached_property
-    def lift(self) -> np.ndarray:
-        """[[B/rho, (B/rho)*phi], [0, B/rho]], whose k-th power's top-right
-        block sums e^{S(w)} S(w) over the period-k words, in units of rho^k."""
+    def lift_powers(self) -> _Powers:
+        """Powers of [[B/rho, (B/rho)*phi], [0, B/rho]], whose k-th power's
+        top-right block sums e^{S(w)} S(w) over the period-k words, in units
+        of rho^k."""
         n = self.base.n
-        tilted = self.scaled * edge_values(self.base, self.data.phi)
-        return np.block([[self.scaled, tilted], [np.zeros((n, n)), self.scaled]])
+        lift = np.zeros((2 * n, 2 * n))
+        lift[:n, :n] = lift[n:, n:] = self.scaled
+        lift[:n, n:] = self.scaled * edge_values(self.base, self.data.phi)
+        return _Powers(lift)
 
     def words(self, m: int) -> list:
         """(last symbol, first symbol, edges, word) of every admissible m-word."""
@@ -310,34 +338,77 @@ class _OrbitFamily:
             ]
         return self._words[m]
 
-    def measure(self, k: int) -> PeriodicOrbitMeasure:
-        """The period-k measure; see periodic_orbit_measure."""
-        if k < 1:
-            raise ValueError("period must be at least 1")
-        power = np.linalg.matrix_power(self.scaled, k)
-        trace = float(np.trace(power))
-        if not math.isfinite(trace):
-            raise ValueError(f"period-{k} weights are not finite: scaled trace {trace}")
-        if trace <= 0.0:
-            raise ValueError(f"no periodic points of period {k}")
-        spectral = float(np.sum(self.ratios**k).real)
-        return PeriodicOrbitMeasure(
-            k=k,
-            power=power,
-            log_normalizer=k * self.data.pressure + math.log(trace),
-            trace=trace,
-            trace_dev=abs(trace - spectral) / max(1.0, trace),
-            family=self,
-        )
+    def measures(self, periods):
+        """The period-k measure for each k of periods, in order; see
+        periodic_orbit_measure.
+
+        The one range pass.  Periods are read in blocks whose powers
+        (B/rho)^k hold at most PROBE_BLOCK_ENTRIES entries, and each block
+        reduces its traces, eigenvalue sums, lift-corner traces and
+        first-symbol entropies in one stacked call each.  The
+        log-normalizers take math.log period by period, since np.log can
+        differ from it in the last bit.  A block is read ahead of the
+        iteration, under np.errstate because a refused period is never
+        read, and each refusal is raised when the iteration reaches its
+        period.
+        """
+        per_block = max(1, PROBE_BLOCK_ENTRIES // self.base.n**2)
+        periods = iter(periods)
+        while block := list(islice(periods, per_block)):
+            readings = self._readings([k for k in block if k >= 1])
+            for k in block:
+                if k < 1:
+                    raise ValueError("period must be at least 1")
+                power, trace, spectral, lift_trace, marginal = next(readings)
+                if not math.isfinite(trace):
+                    raise ValueError(f"period-{k} weights are not finite: scaled trace {trace}")
+                if trace <= 0.0:
+                    raise ValueError(f"no periodic points of period {k}")
+                yield PeriodicOrbitMeasure(
+                    k=k,
+                    power=power,
+                    log_normalizer=k * self.data.pressure + math.log(trace),
+                    trace=trace,
+                    trace_dev=abs(trace - spectral) / max(1.0, trace),
+                    lift_trace=lift_trace,
+                    marginal=marginal,
+                    family=self,
+                )
+
+    def _readings(self, ks: list):
+        """(power, trace, eigenvalue sum, lift-corner trace, first-symbol
+        entropy) of each period of ks.  Each sum over a period's entries is
+        the pairwise sum that np.trace or np.sum takes over that period."""
+        if not ks:
+            return iter(())
+        n = self.base.n
+        with np.errstate(all="ignore"):
+            powers = np.array([self.powers(k) for k in ks])
+            diagonals = powers.diagonal(axis1=1, axis2=2)
+            traces = np.add.reduce(diagonals, axis=1)
+            eigen = np.power(self.ratios, np.array(ks, dtype=float)[:, None])
+            if 2 in ks:  # ratios ** 2 is np.square, which np.power need not match bit for bit
+                eigen[[k == 2 for k in ks]] = np.square(self.ratios)
+            spectral = np.add.reduce(eigen, axis=1).real
+            corners = np.array([self.lift_powers(k)[:n, n:].diagonal() for k in ks])
+            lift_traces = np.add.reduce(corners, axis=1)
+            mass = diagonals / traces[:, None]
+            marginal = -np.add.reduce(mass * np.log(mass), axis=1)
+            # a symbol that starts no period-k point makes its row nan (0 log 0):
+            # such a row sums over the symbols that start one
+            for i in np.flatnonzero(np.isnan(marginal)):
+                live = mass[i][mass[i] > 0.0]
+                marginal[i] = -np.sum(live * np.log(live))
+        lists = (traces.tolist(), spectral.tolist(), lift_traces.tolist(), marginal.tolist())
+        return zip(powers, *lists)
 
 
 def periodic_orbit_measures(data: PerronData, periods):
-    """periodic_orbit_measure(data, k) for each k of periods, in order,
-    sharing B / rho, the tilted lift and the word lists.  Each period is
-    checked, and refused, when the iteration reaches it."""
-    family = _OrbitFamily(data)
-    for k in periods:
-        yield family.measure(k)
+    """periodic_orbit_measure(data, k) for each k of periods, in order, from
+    one range pass that shares B / rho, the squarings, the tilted lift and
+    the word lists.  Each period is checked, and refused, when the iteration
+    reaches it."""
+    yield from _OrbitFamily(data).measures(periods)
 
 
 def periodic_orbit_measure(data: PerronData, k: int) -> PeriodicOrbitMeasure:
@@ -347,7 +418,7 @@ def periodic_orbit_measure(data: PerronData, k: int) -> PeriodicOrbitMeasure:
     The normalizer tr B^k and the eigenvalue sum sum_i lambda_i^k, both in
     units of rho^k, are compared in the measure's trace_dev.
     """
-    return _OrbitFamily(data).measure(k)
+    return next(_OrbitFamily(data).measures([k]))
 
 
 def orbit_entropy_identity(nu: PeriodicOrbitMeasure, phi: LocallyConstantFunction):
@@ -372,11 +443,13 @@ def periodic_orbit_harness(
     reports = []
     theta = data.phi.theta
     m_f = integrate(data.measure, f)
-    family = _OrbitFamily(data)
-    for k in k_range:
+    # the range pass reads a block ahead of the periods checked here
+    periods, ahead = tee(k_range)
+    measures = _OrbitFamily(data).measures(ahead)
+    for k in periods:
         if k < 3:
             raise ValueError("periods below 3 have no certified form")
-        nu = family.measure(k)
+        nu = next(measures)
         nu_f = nu.expectation(f)
         identity_lhs, identity_rhs = orbit_entropy_identity(nu, data.phi)
         spectral = 2.0 * data.shift.n * data.kappa**k / k

@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -518,8 +517,8 @@ def _report_row(cfg: ExperimentConfig, rep, **given) -> tuple:
     given here, else the seed, else the report's lhs, rhs, slack or vacuous,
     else one of its terms, else one of its params."""
     own = dict(seed=cfg.seed, lhs=rep.lhs, rhs=rep.rhs, slack=rep.slack, vacuous=rep.vacuous)
-    values = ChainMap(given, own, rep.terms, rep.params)
-    return tuple(values[column] for column in _KINDS[cfg.kind].header.split(","))
+    values = {**rep.params, **rep.terms, **own, **given}
+    return tuple(values[column] for column in _COLUMNS[cfg.kind])
 
 
 def _slack_check(reports: list, label: str) -> Check:
@@ -816,6 +815,8 @@ _KINDS = {
         sections={},
     ),
 }
+# each kind's header, split once for the rows of every run
+_COLUMNS = {name: tuple(kind.header.split(",")) for name, kind in _KINDS.items()}
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:

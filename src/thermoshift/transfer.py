@@ -24,6 +24,7 @@ from .shift import (
     check_state_count,
     check_word_count,
     is_topologically_mixing,
+    strong_components,
 )
 
 GAP_PROBE_DEPTH = 50
@@ -99,6 +100,13 @@ def _perron_vector(matrix: np.ndarray):
     k = int(np.argmax(vals.real))
     lam = vals[k]
     if lam.imag != 0.0 or lam.real <= 0.0:
+        # one state per strong component and no self-loop: no cycle of
+        # positive weight, so B is nilpotent and its root is exactly 0
+        if strong_components(matrix)[0] == len(matrix) and not matrix.diagonal().any():
+            raise EigensolverError(
+                "every cycle has an edge whose weight underflows to 0.0: "
+                "the weighted matrix is nilpotent"
+            )
         raise EigensolverError(f"dominant root {lam} is not real and positive")
     vec = vecs[:, k].real
     vec = vec / vec.sum()

@@ -645,17 +645,51 @@ def test_family_matches_fresh_measures_and_oracle(name, shift, phi):
         assert orbit_readings(fresh, observables) == want, (name, nu.k)
 
 
+def random_mixing_system(n, seed):
+    """A mixing shift on n states (a cycle through every state, a self-loop
+    and 2n random edges) with a random range-2 potential."""
+    rng = np.random.default_rng(seed)
+    labels = [f"s{i}" for i in range(n)]
+    order = rng.permutation(n)
+    edges = {(order[i], order[(i + 1) % n]) for i in range(n)} | {(order[0], order[0])}
+    while len(edges) < 3 * n + 1:
+        edges.add(tuple(rng.integers(n, size=2)))
+    shift = build_sft(labels, [(labels[u], labels[v]) for u, v in sorted(edges)])
+    assert is_topologically_mixing(shift)
+    return shift, random_function(shift, 2, rng)
+
+
+def assert_harness_matches_oracle(name, reports, shift, phi, f, periods):
+    assert [rep.params["k"] for rep in reports] == list(periods), name
+    for rep in reports:
+        k = rep.params["k"]
+        nu = orbit_measure_oracle(shift, phi, k)
+        lhs = nu.block_entropy() / k + nu.expectation(phi)
+        assert rep.terms["nu_f"] == nu.expectation(f), (name, k)
+        assert rep.terms["identity_dev"] == abs(lhs - nu.log_normalizer / k), (name, k)
+        assert rep.terms["entropy_term"] == 2.0 / (k - 2) * nu.marginal_entropy(), (name, k)
+        assert rep.terms["trace_dev"] == nu.trace_dev, (name, k)
+
+
 def test_family_harness_matches_oracle():
-    # the harness reads its measures from one family: its rows equal those
-    # built from the per-period construction
-    shift, phi = builtin_system("golden-range2")
-    data = perron_data(shift, phi)
-    f = random_function(shift, 3, np.random.default_rng(59))
-    for rep in periodic_orbit_harness(data, f, range(3, 21)):
-        nu = orbit_measure_oracle(shift, phi, rep.params["k"])
-        lhs = nu.block_entropy() / nu.k + nu.expectation(phi)
-        assert rep.terms["nu_f"] == nu.expectation(f)
-        assert rep.terms["identity_dev"] == abs(lhs - nu.log_normalizer / nu.k)
+    # the harness reads its measures from one range pass: its rows equal
+    # those built from the per-period construction, on every family system,
+    # on a model through combined_orbit_harness, and on 40 states, where
+    # periods 3..60 span three blocks of the pass
+    wide = ("random-40", *random_mixing_system(40, 73), range(3, 61))
+    assert len(wide[-1]) > 2 * (transfer.PROBE_BLOCK_ENTRIES // 40**2)
+    for name, shift, phi, periods in [*((*s, range(3, 21)) for s in family_systems()), wide]:
+        f = random_function(shift, 3, np.random.default_rng(59))
+        reports = periodic_orbit_harness(perron_data(shift, phi), f, periods)
+        assert_harness_matches_oracle(name, reports, shift, phi, f, periods)
+    sub = truncate(zeta_model(2.0), 5)
+    values = {1: 1.0, 3: -0.5}
+    reports = combined_orbit_harness(sub, values, range(3, 16))
+    shift, phi = sub.data.shift, sub.data.phi
+    f = sub.observable(values)
+    assert_harness_matches_oracle("combined-zeta-5", reports, shift, phi, f, range(3, 16))
+    for rep in reports:
+        assert rep.terms["combined_lhs"] == abs(sub.model.expectation(values) - rep.terms["nu_f"])
 
 
 def refusal(fn, *args):
@@ -690,6 +724,19 @@ def test_family_refusals_match_one_period_measures():
         data = perron_data(shift, phi)
         assert refusal(periodic_orbit_measure, data, bad) == want
         assert family_refusal(data, periods) == (done, want)
+    # the harness refuses each period when it reaches it, though its range
+    # pass reads a whole block ahead: period 5 before the 2 that follows it,
+    # and a 2 before the period 5 that follows it
+    data = perron_data(gap, gap_phi)
+    f = LocallyConstantFunction.indicator(gap, (0,))
+    assert refusal(periodic_orbit_harness, data, f, [3, 4, 5, 2]) == (
+        ValueError,
+        "no periodic points of period 5",
+    )
+    assert refusal(periodic_orbit_harness, data, f, [3, 2, 5]) == (
+        ValueError,
+        "periods below 3 have no certified form",
+    )
     # an overflowing root and a long range are refused by the data a family
     # is built from, before any period is reached
     huge = LocallyConstantFunction.constant(full, 709.7)

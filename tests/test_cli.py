@@ -1647,6 +1647,12 @@ WEIGHTS_UNDERFLOW = (
     "[shift]\nstates = a b c d\nedges = ac bb bd cb da\n[potential]\nrange = 1\n"
     "default = -927.8634831245136\n[experiment]\nkind = {}\n"
 )
+# exp(-777.2...) is 0.0 on both edges out of b, so a -> b is the one positive edge
+NILPOTENT = (
+    "[shift]\nstates = a b\nedges = ab ba bb\n[potential]\nrange = 1\n"
+    'default = 826.295938831171\nvalue "a" = -605.3297839029424\n'
+    'value "b" = -777.2183578799874\n[experiment]\nkind = {}\n'
+)
 
 # the [experiment] keys of each finite-shift kind, and the kinds whose
 # potentials have range at most 2
@@ -1747,6 +1753,14 @@ def test_every_config_answers_or_is_refused(text):
             )
             for kind in ("partition-sums", "pressure")
         ),
+        *(
+            (
+                NILPOTENT.format(kind),
+                "every cycle has an edge whose weight underflows to 0.0: "
+                "the weighted matrix is nilpotent",
+            )
+            for kind in ("partition-sums", "pressure")
+        ),
     ],
     ids=[
         "gibbs-mass-underflow",
@@ -1755,6 +1769,8 @@ def test_every_config_answers_or_is_refused(text):
         "partition-sums-reducible",
         "partition-sums-weights-underflow",
         "pressure-weights-underflow",
+        "partition-sums-nilpotent",
+        "pressure-nilpotent",
     ],
 )
 def test_values_past_the_float_range_are_refused(text, message):
