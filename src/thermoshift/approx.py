@@ -20,8 +20,8 @@ import numpy as np
 from .bounds import BoundReport, gibbs_report
 from .measures import entropy_rate, integrate
 from .potential import LocallyConstantFunction, sup_diff
-from .shift import build_sft, enumerate_words
-from .transfer import PROBE_BLOCK_ENTRIES, PerronData, edge_values, perron_data
+from .shift import TransitionMatrix, enumerate_words
+from .transfer import PROBE_BLOCK_ENTRIES, PerronData, _Powers, edge_values, perron_data
 
 AMBIENT_A = math.sqrt(2.0)
 
@@ -166,8 +166,8 @@ def truncate(model: CountableModel, n: int) -> FiniteSubsystem:
             f"state {weights.index(0.0) + 1} of {model.family}({model.param:g}) has a "
             "weight that underflows to 0.0, so its potential is not finite"
         )
-    labels = [str(s) for s in range(1, n + 1)]
-    shift = build_sft(labels, [(u, v) for u in labels for v in labels])
+    # the full shift: no edge list, and no state to prune
+    shift = TransitionMatrix(tuple(str(s) for s in range(1, n + 1)), np.ones((n, n)))
     table = {(i,): math.log(w) for i, w in enumerate(weights)}
     phi = LocallyConstantFunction(base=shift, depth=1, table=table)
     return FiniteSubsystem(model=model, data=perron_data(shift, phi))
@@ -275,29 +275,6 @@ class PeriodicOrbitMeasure:
     def marginal_entropy(self) -> float:
         """Entropy of the first symbol, whose law is diag(B^k) / Z."""
         return self.marginal
-
-
-class _Powers:
-    """Powers of one square matrix a, each formed as np.linalg.matrix_power
-    forms it, so with its bits: k <= 3 by its shortcuts (a, a @ a and
-    (a @ a) @ a), otherwise low bit first, result @ a^(2^j).  The squarings
-    a^(2^j) are kept, so a range of periods makes each of them once."""
-
-    def __init__(self, a: np.ndarray):
-        self.squarings = [a]
-
-    def __call__(self, k: int) -> np.ndarray:
-        if k == 3:
-            return self(2) @ self.squarings[0]
-        z = self.squarings
-        result, j = None, 0
-        while k >> j:
-            if j == len(z):
-                z.append(z[-1] @ z[-1])
-            if k >> j & 1:
-                result = z[j] if result is None else result @ z[j]
-            j += 1
-        return result
 
 
 class _OrbitFamily:

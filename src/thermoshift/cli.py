@@ -49,7 +49,7 @@ from .measures import (
     random_markov_measure,
 )
 from .potential import DEFAULT_THETA, LocallyConstantFunction, add, random_function
-from .shift import STATE_CAP, TransitionMatrix, build_sft, check_state_count, check_word_count
+from .shift import STATE_CAP, TransitionMatrix, build_sft, check_state_count
 from .systems import BUILTIN_SHIFTS, BUILTIN_SYSTEMS, builtin_shift, builtin_system
 from .transfer import (
     equilibrium,
@@ -578,12 +578,9 @@ def _build_gibbs(cfg: ExperimentConfig):
 def _build_partition_sums(cfg: ExperimentConfig):
     state = cfg.params.get("state", cfg.shift.states[0])
     n_range = cfg.params.get("n", range(1, 13))
-    # every period by word count, before any words are listed; then the sums:
-    # a period past the float range is refused by them, with both routes in
-    # the message, before the estimates read their diagonal
-    for n in n_range:
-        check_word_count(cfg.shift, n)
-    sums = [partition_sum(cfg.shift, cfg.phi, state, n) for n in n_range]
+    # a period past the float range is refused by the sums, with both routes
+    # in the message, before the estimates read their diagonal
+    sums = partition_sum(cfg.shift, cfg.phi, state, n_range)
     estimates = gurevich_estimate(cfg.shift, cfg.phi, state, max(n_range))
     gur = {n: (value, residual) for n, value, residual in estimates}
     rows = [
@@ -714,13 +711,8 @@ def _build_identities(cfg: ExperimentConfig):
         records.append((name, "orbit-entropy", _worst(orbit), IDENTITY_TOL))
         records.append((name, "orbit-trace", _worst(trace), IDENTITY_TOL))
 
-        for n in range(1, n_max + 1):  # every period by count, before any is listed
-            check_word_count(shift, n)
-        routes = [
-            partition_sum(shift, phi, shift.states[0], n).rel_err
-            for n in range(1, n_max + 1)
-        ]
-        records.append((name, "partition-routes", _worst(routes), IDENTITY_TOL))
+        sums = partition_sum(shift, phi, shift.states[0], range(1, n_max + 1))
+        records.append((name, "partition-routes", _worst(p.rel_err for p in sums), IDENTITY_TOL))
 
         mu = random_markov_measure(shift, np.random.default_rng([cfg.seed, 5]))
         h_rate = entropy_rate(mu)

@@ -239,7 +239,7 @@ def point_mass(shift: TransitionMatrix, state) -> MarkovMeasure:
     admissible paths, so the kernel is stochastic everywhere but only the loop
     carries mass.
     """
-    a = shift.index(state) if not isinstance(state, (int, np.integer)) else int(state)
+    a = shift.index(state)
     if not shift.matrix[a, a]:
         raise ValueError(f"state {shift.states[a]!r} has no self-loop")
     # next_step[i] = first move of a shortest path i -> a

@@ -297,6 +297,30 @@ def normalize_zero_pressure(phi: LocallyConstantFunction) -> LocallyConstantFunc
     return phi.plus_constant(-pressure(phi))
 
 
+class _Powers:
+    """Powers of one square matrix a, each formed as numpy's matrix_power
+    forms it, so with its bits: k <= 3 by its shortcuts (a, a @ a and
+    (a @ a) @ a), otherwise low bit first, result @ a^(2^j).  The squarings
+    a^(2^j) are kept, so a range of periods, of partition sums or of
+    periodic-orbit measures, makes each of them once."""
+
+    def __init__(self, a: np.ndarray):
+        self.squarings = [a]
+
+    def __call__(self, k: int) -> np.ndarray:
+        if k == 3:
+            return self(2) @ self.squarings[0]
+        z = self.squarings
+        result, j = None, 0
+        while k >> j:
+            if j == len(z):
+                z.append(z[-1] @ z[-1])
+            if k >> j & 1:
+                result = z[j] if result is None else result @ z[j]
+            j += 1
+        return result
+
+
 class PartitionSum(NamedTuple):
     enumeration: float
     matrix: float
@@ -308,46 +332,53 @@ class PartitionSum(NamedTuple):
 
 
 def partition_sum(
-    shift: TransitionMatrix,
-    phi: LocallyConstantFunction,
-    state,
-    n: int,
-) -> PartitionSum:
-    """Weighted count of period-n points through a state, computed two ways.
+    shift: TransitionMatrix, phi: LocallyConstantFunction, state, periods
+) -> list:
+    """Weighted count of period-n points through a state, computed two ways:
+    one PartitionSum for each n of periods, in order.
 
-    The enumeration route sums exp(cyclic Birkhoff sum) over cyclically
+    Every period is counted against WORD_CAP before any word is listed.  The
+    enumeration route sums exp(cyclic Birkhoff sum) over cyclically
     admissible n-words starting at the state, grown from it one symbol at a
-    time in lexicographic order with the sums carried along; the matrix route
-    reads the diagonal entry of B^n.  Both are returned; the caller judges
-    their agreement.  A sum that overflows a float raises ValueError.
+    time in lexicographic order with the sums carried along, in one word
+    tree that restarts only where a period is shorter than the one before.
+    The matrix route reads the diagonal entry of B^n from the powers of one
+    B.  The caller judges their agreement.  A sum that overflows a float
+    raises ValueError naming the first such period.
     """
-    a = shift.index(state) if not isinstance(state, (int, np.integer)) else int(state)
-    if n < 1:
-        raise ValueError("period must be at least 1")
-    check_word_count(shift, n)
+    a = shift.index(state)
+    periods = list(periods)
+    for n in periods:
+        if n < 1:
+            raise ValueError("period must be at least 1")
+        check_word_count(shift, n)
     steps = _steps(shift, phi)
-    # (last symbol, Birkhoff sum over the steps taken) of each word from a
-    level = [(a, 0.0)]
-    for _ in range(n - 1):
-        level = [(j, s + t) for i, s in level for j, t in steps[i]]
+    powers = _Powers(transfer_matrix(shift, phi))
     closing = {i: t for i in range(shift.n) for j, t in steps[i] if j == a}
-    total = 0.0
-    try:
-        for i, s in level:
-            if i in closing:
-                total += math.exp(s + closing[i])
-    except OverflowError:
-        total = math.inf
-    b = transfer_matrix(shift, phi)
-    # an entry past the float range is refused below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        mat = float(np.linalg.matrix_power(b, n)[a, a])
-    if not (math.isfinite(total) and math.isfinite(mat)):
-        raise ValueError(
-            f"partition sum at n={n} overflows a float: enumeration {total}, "
-            f"matrix {mat}"
-        )
-    return PartitionSum(enumeration=total, matrix=mat)
+    sums, length = [], math.inf
+    for n in periods:
+        if n < length:
+            # (last symbol, Birkhoff sum over the steps taken) of each word from a
+            level, length = [(a, 0.0)], 1
+        for _ in range(n - length):
+            level = [(j, s + t) for i, s in level for j, t in steps[i]]
+        length = n
+        total = 0.0
+        try:
+            for i, s in level:
+                if i in closing:
+                    total += math.exp(s + closing[i])
+        except OverflowError:
+            total = math.inf
+        # an entry past the float range is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = float(powers(n)[a, a])
+        if not (math.isfinite(total) and math.isfinite(mat)):
+            raise ValueError(
+                f"partition sum at n={n} overflows a float: enumeration {total}, matrix {mat}"
+            )
+        sums.append(PartitionSum(enumeration=total, matrix=mat))
+    return sums
 
 
 def gurevich_estimate(
@@ -366,7 +397,7 @@ def gurevich_estimate(
             f"the shift has {components} strong components: the Gurevich "
             "estimate needs an irreducible shift"
         )
-    a = shift.index(state) if not isinstance(state, (int, np.integer)) else int(state)
+    a = shift.index(state)
     b = transfer_matrix(shift, phi)
     logp = math.log(_spectrum(b)[0])
     rows = []

@@ -69,8 +69,7 @@ def test_criterion_2_gurevich_consistency():
     assert residuals[12] <= 0.06
     for n in range(5, 13):
         assert residuals[n] <= residuals[n - 1] + 1e-12
-    for n in range(1, 13):
-        ps = partition_sum(shift, phi, "a", n)
+    for ps in partition_sum(shift, phi, "a", range(1, 13)):
         assert abs(ps.enumeration - ps.matrix) <= 1e-10 * max(1.0, abs(ps.matrix))
     print(
         f"criterion 2: PASS - residual {residuals[12]:.4f} <= 0.06 at n=12, "

@@ -757,8 +757,8 @@ def test_long_ranges_meet_the_one_transfer_matrix_refusal():
     data = perron_data(shift, phi)
     long_range = random_function(shift, 3, np.random.default_rng(71))
     routes = [
-        (partition_sum, shift, long_range, 0, 3),
-        (gurevich_estimate, shift, long_range, 0, 3),
+        (partition_sum, shift, long_range, shift.states[0], [3]),
+        (gurevich_estimate, shift, long_range, shift.states[0], 3),
         (perron_data, shift, long_range),
         (stability_bound, data, long_range, phi),
     ]

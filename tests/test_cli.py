@@ -489,6 +489,25 @@ def test_overflowing_partition_sum_exits_2_without_warnings(tmp_path, capsys):
     assert "error: partition sum at n=4 overflows a float" in capsys.readouterr().err
 
 
+def test_partition_sums_name_the_first_overflowing_period(tmp_path, capsys):
+    # on the period-2 shift the sums at the even periods 2 and 4 overflow: a
+    # range is refused at its first failing period, in the order given
+    text = (
+        "[shift]\nstates = a b\nedges = ab ba\n"
+        "[potential]\nrange = 1\ndefault = 400.0\n"
+        "[experiment]\nkind = partition-sums\nn = 1..4\n"
+    )
+    cfg = tmp_path / "even.cfg"
+    cfg.write_text(text)
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: partition sum at n=2 overflows a float: enumeration inf, matrix inf\n"
+    )
+    parsed = parse_config(text)
+    with pytest.raises(ValueError, match=r"partition sum at n=4 overflows"):
+        transfer.partition_sum(parsed.shift, parsed.phi, "a", [1, 4, 2])
+
+
 def test_gurevich_estimate_refuses_only_the_entries_it_reads():
     cfg = parse_config(
         "[shift]\nstates = a b c\nedges = ab ac ba\n"
@@ -761,9 +780,9 @@ def test_trace_disagreement_fails_identities(tmp_path, capsys, monkeypatch):
 def test_nan_route_deviation_fails(tmp_path, capsys, monkeypatch):
     real = transfer.partition_sum
 
-    def poisoned(shift, phi, state, n):
-        sums = real(shift, phi, state, n)
-        return sums._replace(enumeration=math.nan) if n == 2 else sums
+    def poisoned(shift, phi, state, periods):
+        sums = real(shift, phi, state, periods)
+        return [s._replace(enumeration=math.nan) if n == 2 else s for n, s in zip(periods, sums)]
 
     monkeypatch.setattr(cli, "partition_sum", poisoned)
     lines = run_failing(tmp_path, capsys, "kind = partition-sums\nn = 1..4", "route-agreement")
@@ -1213,22 +1232,24 @@ def test_unread_sections_are_refused_before_any_table_is_built(
 
 
 @pytest.mark.parametrize(
-    "shift, experiment",
+    "shift, experiment, forbidden",
     [
-        ("system = full2-zero", "kind = gibbs\nn-max = 25"),
-        ("system = full2-zero", "kind = partition-sums\nn = 1..30"),
-        ("", "kind = identities\ntrials = 1\nk-max = 3\nn-max = 60"),
+        ("system = full2-zero", "kind = gibbs\nn-max = 25", ["_steps"]),
+        # partition sums build B only once every period is counted
+        ("system = full2-zero", "kind = partition-sums\nn = 1..30", ["_steps", "transfer_matrix"]),
+        ("", "kind = identities\ntrials = 1\nk-max = 3\nn-max = 60", ["_steps"]),
     ],
     ids=["gibbs", "partition-sums", "identities"],
 )
 def test_word_cap_is_refused_before_any_word_is_listed(
-    tmp_path, capsys, monkeypatch, shift, experiment
+    tmp_path, capsys, monkeypatch, shift, experiment, forbidden
 ):
     # both routes that list words grow them from the potential's steps
     def steps(*args):
         raise AssertionError("words were listed before every length was counted")
 
-    monkeypatch.setattr(transfer, "_steps", steps)
+    for name in forbidden:
+        monkeypatch.setattr(transfer, name, steps)
     cfg = tmp_path / "cap.cfg"
     head = f"[shift]\n{shift}\n" if shift else ""
     cfg.write_text(f"{head}[experiment]\n{experiment}\n")
@@ -1452,7 +1473,7 @@ def test_model_truncation_past_the_state_cap_is_refused_before_any_shift_is_buil
     def build(*args, **kwargs):
         raise AssertionError("a shift was built")
 
-    monkeypatch.setattr(approx, "build_sft", build)
+    monkeypatch.setattr(approx, "TransitionMatrix", build)
     monkeypatch.setattr(cli, "truncate", build)
     text = MODEL + "[experiment]\nkind = corollary2\nk = 3\nn = {}\n"
     assert parse_config(text.format(shift_module.STATE_CAP)).params["n"] == 1024

@@ -58,6 +58,7 @@ from thermoshift.transfer import (
     gibbs_certificate,
     partition_sum,
     perron_data,
+    transfer_matrix,
 )
 
 # -- oracles: the per-element numpy formulas ---------------------------------
@@ -449,13 +450,24 @@ def potentials(draw):
     return random_function(shift, depth, np.random.default_rng(seed))
 
 
-@given(potentials(), st.integers(min_value=1, max_value=6))
+# one word tree serves a range of periods, and restarts where a period is
+# shorter than the one before
+PERIOD_LISTS = st.one_of(
+    st.just([3, 1, 4]), st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4)
+)
+
+
+@given(potentials(), PERIOD_LISTS)
 @settings(max_examples=150, deadline=None)
-def test_partition_sum_matches_per_word_oracle(phi, n):
+def test_partition_sum_matches_per_word_oracle(phi, periods):
     shift = phi.base
+    b = transfer_matrix(shift, phi)
     for a in range(shift.n):
-        ps = partition_sum(shift, phi, a, n)
-        assert ps.enumeration == partition_sum_oracle(shift, phi, a, n)
+        sums = partition_sum(shift, phi, shift.states[a], periods)
+        assert len(sums) == len(periods)
+        for n, ps in zip(periods, sums):
+            assert ps.enumeration == partition_sum_oracle(shift, phi, a, n)
+            assert ps.matrix == np.linalg.matrix_power(b, n)[a, a]
 
 
 @given(potentials(), st.integers(min_value=1, max_value=5))
@@ -476,9 +488,10 @@ def test_word_tree_routes_at_length_one_read_the_self_loop(depth):
     # only a has a self-loop: period 1 sees a alone, through its loop value
     shift = build_sft("ab", ["aa", "ab", "ba"])
     phi = random_function(shift, depth, np.random.default_rng(depth))
-    assert partition_sum(shift, phi, "a", 1).enumeration == partition_sum_oracle(shift, phi, 0, 1)
-    assert partition_sum(shift, phi, "a", 1).enumeration == math.exp(phi.table[(0,) * depth])
-    assert partition_sum(shift, phi, "b", 1).enumeration == 0.0
+    (at_a,) = partition_sum(shift, phi, "a", [1])
+    assert at_a.enumeration == partition_sum_oracle(shift, phi, 0, 1)
+    assert at_a.enumeration == math.exp(phi.table[(0,) * depth])
+    assert partition_sum(shift, phi, "b", [1])[0].enumeration == 0.0
     data = perron_data(shift, phi)
     cert = gibbs_certificate(data, 1)
     assert (cert.empirical, cert.worst_ratio, cert.worst_word) == gibbs_certificate_oracle(data, 1)

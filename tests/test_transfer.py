@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thermoshift.bounds import cohomology_residual
-from thermoshift.measures import integrate, metric_pressure
+from thermoshift.measures import integrate, metric_pressure, point_mass
 from thermoshift.potential import LocallyConstantFunction, random_function
 from thermoshift.shift import NotMixingError, build_sft
 from thermoshift.systems import builtin_shift, builtin_system
@@ -170,17 +170,28 @@ def fib(n):
 def test_partition_sums_fibonacci():
     shift = builtin_shift("golden-mean")
     phi = LocallyConstantFunction.zero(shift)
-    for n in range(1, 13):
-        ps = partition_sum(shift, phi, "a", n)
+    for n, ps in enumerate(partition_sum(shift, phi, "a", range(1, 13)), start=1):
         assert ps.enumeration == pytest.approx(fib(n + 1))
         assert ps.matrix == pytest.approx(fib(n + 1), abs=1e-9)
 
 
 def test_partition_routes_agree_weighted():
     shift, phi = builtin_system("golden-range2")
-    for n in range(1, 13):
-        ps = partition_sum(shift, phi, "a", n)
+    for ps in partition_sum(shift, phi, "a", range(1, 13)):
         assert abs(ps.enumeration - ps.matrix) <= 1e-10 * max(1.0, abs(ps.matrix))
+
+
+def test_a_state_is_read_as_a_label_on_integer_labels():
+    # label 1 is index 0 and carries the only self-loop; label 0 has none
+    shift = build_sft([1, 0], [(1, 1), (1, 0), (0, 1)])
+    phi = LocallyConstantFunction(base=shift, depth=1, table={(0,): 0.5, (1,): -1.0})
+    assert partition_sum(shift, phi, 0, [1])[0] == (0.0, 0.0)
+    assert partition_sum(shift, phi, 1, [1])[0].enumeration == math.exp(0.5)
+    assert [n for n, _, _ in gurevich_estimate(shift, phi, 0, 2)] == [2]
+    assert [n for n, _, _ in gurevich_estimate(shift, phi, 1, 2)] == [1, 2]
+    with pytest.raises(ValueError, match="state 0 has no self-loop"):
+        point_mass(shift, 0)
+    assert point_mass(shift, 1).initial.tolist() == [1.0, 0.0]
 
 
 def test_gurevich_estimate_converges():
