@@ -52,7 +52,6 @@ from .measures import (
     reverse_kernel,
 )
 from .potential import (
-    DEFAULT_THETA,
     LocallyConstantFunction,
     Norms,
     add,
@@ -62,6 +61,7 @@ from .potential import (
     sup_diff,
 )
 from .shift import (
+    DEFAULT_THETA,
     EmptyShiftError,
     EnumerationLimitError,
     NotMixingError,

@@ -418,7 +418,7 @@ def periodic_orbit_harness(
     but carries no certificate.  Each report carries its measure's trace_dev.
     """
     reports = []
-    theta = data.phi.theta
+    theta = data.shift.theta
     m_f = integrate(data.measure, f)
     # the range pass reads a block ahead of the periods checked here
     periods, ahead = tee(k_range)

@@ -149,7 +149,7 @@ def finitary_gap_bound(
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_bases(data, mu, f)
-    phi, theta = data.phi, data.phi.theta
+    phi, theta = data.phi, data.shift.theta
     m_f = integrate(data.measure, f)
     mu_f = integrate(mu, f)
 
@@ -208,7 +208,7 @@ def block_entropy_gap_bound(
     judge.
     """
     _check_bases(data, mu, f)
-    phi, theta = data.phi, data.phi.theta
+    phi, theta = data.phi, data.shift.theta
     if ell < 1:
         raise ValueError("ell must be at least 1")
     if phi.variation(ell) != 0.0:

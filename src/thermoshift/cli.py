@@ -48,8 +48,8 @@ from .measures import (
     metric_pressure,
     random_markov_measure,
 )
-from .potential import DEFAULT_THETA, LocallyConstantFunction, add, random_function
-from .shift import STATE_CAP, TransitionMatrix, build_sft, check_state_count
+from .potential import LocallyConstantFunction, add, random_function
+from .shift import DEFAULT_THETA, STATE_CAP, TransitionMatrix, build_sft, check_state_count
 from .systems import BUILTIN_SHIFTS, BUILTIN_SYSTEMS, builtin_shift, builtin_system
 from .transfer import (
     equilibrium,
@@ -264,7 +264,7 @@ class ExperimentConfig:
     seed: int
     out: str
     shift: TransitionMatrix | None
-    phi: LocallyConstantFunction | None  # carries the run's one theta
+    phi: LocallyConstantFunction | None  # on `shift`, which carries the run's one theta
     model: CountableModel | None
     observables: dict  # name -> function, or state -> value on a model
     perturbation: LocallyConstantFunction | None
@@ -283,7 +283,7 @@ def _table_keys(section: _Section) -> tuple:
 
 
 def _build_function(
-    shift: TransitionMatrix, section: _Section, keys: tuple, theta: float, kind: str
+    shift: TransitionMatrix, section: _Section, keys: tuple, kind: str
 ) -> LocallyConstantFunction:
     """The section's table, its range checked against the kind's before any word is listed."""
     depth, default = keys
@@ -308,7 +308,7 @@ def _build_function(
     if section.kind == "potential" and depth > 2:  # equilibrium recodes it
         _at_line(section.line, check_state_count, shift, depth - 1)
     build = LocallyConstantFunction.from_values
-    return _at_line(section.line, build, shift, depth, values, default=default, theta=theta)
+    return _at_line(section.line, build, shift, depth, values, default=default)
 
 
 def _build_model_observable(section: _Section) -> dict:
@@ -406,7 +406,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if source == "system":
         shift, phi = _at_line(lineno, builtin_system, value, theta)
     elif source == "builtin":
-        shift = _at_line(lineno, builtin_shift, value)
+        shift = _at_line(lineno, builtin_shift, value, theta)
     elif source == "model":
         model = _parse_model(value, lineno)
     elif source == "states":
@@ -420,7 +420,7 @@ def parse_config(text: str) -> ExperimentConfig:
             else:
                 raise ConfigError(f"cannot parse edge {token!r}", elineno)
             edges.append((u, v))
-        shift = _at_line(lineno, build_sft, value.split(), edges)
+        shift = _at_line(lineno, build_sft, value.split(), edges, theta)
     if "observable" in params and params["observable"] not in [s.name for s in obs_secs]:
         raise ConfigError(
             f"experiment references undefined observable {params['observable']!r}",
@@ -441,10 +441,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"{kind} does not read {what}", s.line)
 
     def build(s: _Section) -> LocallyConstantFunction:
-        return _build_function(shift, s, keys[s.line], theta, kind)
+        return _build_function(shift, s, keys[s.line], kind)
 
     if shift is not None and phi is None:
-        phi = build(pot_sec[0]) if pot_sec else LocallyConstantFunction.zero(shift, theta=theta)
+        phi = build(pot_sec[0]) if pot_sec else LocallyConstantFunction.zero(shift)
     perturbation = build(pert_sec[0]) if pert_sec else None
     observables = {}
     for s in obs_secs:
@@ -501,7 +501,7 @@ def _pick_observable(cfg: ExperimentConfig):
         return cfg.observables[name]
     if cfg.model is not None:
         return {1: 1.0}
-    return LocallyConstantFunction.indicator(cfg.shift, (0,), theta=cfg.phi.theta)
+    return LocallyConstantFunction.indicator(cfg.shift, (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +599,7 @@ def _build_theorem1(cfg: ExperimentConfig):
         rng = np.random.default_rng([cfg.seed, trial])
         mu = random_markov_measure(data.shift, rng)
         depth = int(rng.integers(1, f_range + 1))
-        f = random_function(data.shift, depth, rng, theta=cfg.phi.theta)
+        f = random_function(data.shift, depth, rng)
         reports.append(pressure_gap_bound(data, mu, f))
     rows = [_report_row(cfg, rep, trial=t) for t, rep in enumerate(reports)]
     return rows, [_slack_check(reports, "min slack")]
@@ -614,7 +614,7 @@ def _build_theorem2(cfg: ExperimentConfig):
     for trial in range(trials):
         rng = np.random.default_rng([cfg.seed, 2, trial])
         mu = random_markov_measure(data.shift, rng)
-        f = random_function(data.shift, int(rng.integers(1, 3)), rng, theta=cfg.phi.theta)
+        f = random_function(data.shift, int(rng.integers(1, 3)), rng)
         for n in n_range:
             forms = [("general", 0, finitary_gap_bound(data, mu, f, n))]
             if n >= 3 * ell:
@@ -670,9 +670,7 @@ def _build_corollary3(cfg: ExperimentConfig):
         candidates = []
         for trial in range(trials):
             rng = np.random.default_rng([cfg.seed, 3, trial])
-            bump = random_function(
-                cfg.shift, 2, rng, low=-max_diff, high=max_diff, theta=cfg.phi.theta
-            )
+            bump = random_function(cfg.shift, 2, rng, low=-max_diff, high=max_diff)
             candidates.append(add(cfg.phi, bump))
     data = perron_data(cfg.phi.base, cfg.phi)
     reports = [stability_bound(data, psi, f) for psi in candidates]

@@ -1,9 +1,9 @@
 """Locally constant functions (potentials and observables) on a shift.
 
 A function of range r is stored as a table over all admissible r-words.
-The metric on the shift is d(x, y) = theta**(first disagreement index), so
+The shift carries the metric d(x, y) = theta**(first disagreement index), so
 the Lipschitz seminorm of a range-r function is max_k var_k / theta**k over
-1 <= k < r.
+1 <= k < r, with theta read from ``base.theta``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .shift import Recoding, TransitionMatrix, enumerate_words, higher_block_recode
-
-DEFAULT_THETA = 0.5
 
 
 class Norms(NamedTuple):
@@ -36,13 +34,10 @@ class LocallyConstantFunction:
     base: TransitionMatrix
     depth: int
     table: dict
-    theta: float = DEFAULT_THETA
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
-        if not (0.0 < self.theta < 1.0):
-            raise ValueError("theta must lie in (0, 1)")
         words = enumerate_words(self.base, self.depth)
         missing = [w for w in words if w not in self.table]
         if missing:
@@ -57,25 +52,25 @@ class LocallyConstantFunction:
         object.__setattr__(self, "table", dict(self.table))
 
     @classmethod
-    def constant(cls, base, value, depth=1, theta=DEFAULT_THETA):
+    def constant(cls, base, value, depth=1):
         table = {w: float(value) for w in enumerate_words(base, depth)}
-        return cls(base=base, depth=depth, table=table, theta=theta)
+        return cls(base=base, depth=depth, table=table)
 
     @classmethod
-    def zero(cls, base, theta=DEFAULT_THETA):
-        return cls.constant(base, 0.0, depth=1, theta=theta)
+    def zero(cls, base):
+        return cls.constant(base, 0.0, depth=1)
 
     @classmethod
-    def indicator(cls, base, word, theta=DEFAULT_THETA):
+    def indicator(cls, base, word):
         """Indicator of the cylinder fixed by ``word`` (a tuple of indices)."""
         word = tuple(word)
         if not base.is_word(word):
             raise ValueError("indicator word is not admissible")
         table = {w: (1.0 if w == word else 0.0) for w in enumerate_words(base, len(word))}
-        return cls(base=base, depth=len(word), table=table, theta=theta)
+        return cls(base=base, depth=len(word), table=table)
 
     @classmethod
-    def from_values(cls, base, depth, values, default=None, theta=DEFAULT_THETA):
+    def from_values(cls, base, depth, values, default=None):
         """Build from a partial mapping of label words, filling ``default``."""
         by_index = {}
         for word, v in values.items():
@@ -93,7 +88,7 @@ class LocallyConstantFunction:
                 table[w] = float(default)
             else:
                 raise ValueError(f"no value for admissible word {base.labels(w)!r}")
-        return cls(base=base, depth=depth, table=table, theta=theta)
+        return cls(base=base, depth=depth, table=table)
 
     def evaluate(self, word) -> float:
         if len(word) < self.depth:
@@ -160,16 +155,14 @@ class LocallyConstantFunction:
         return Norms(sup=sup, lip=lip, total=sup + lip)
 
     def holder_constant(self) -> float:
-        """Smallest A with var_n <= A * theta**n for all n >= 1."""
+        """Smallest A with var_n <= A * theta**n for all n >= 1, theta the shift's."""
         if self.depth == 1:
             return 0.0
-        return float(
-            max(self.variation(k) / self.theta**k for k in range(1, self.depth))
-        )
+        return float(max(self.variation(k) / self.base.theta**k for k in range(1, self.depth)))
 
     def plus_constant(self, c: float) -> "LocallyConstantFunction":
         table = {w: v + float(c) for w, v in self.table.items()}
-        return LocallyConstantFunction(self.base, self.depth, table, self.theta)
+        return LocallyConstantFunction(self.base, self.depth, table)
 
     def with_depth(self, depth: int) -> "LocallyConstantFunction":
         """Same function written with a longer (or equal) range."""
@@ -178,14 +171,12 @@ class LocallyConstantFunction:
         if depth == self.depth:
             return self
         table = {w: self.table[w[: self.depth]] for w in enumerate_words(self.base, depth)}
-        return LocallyConstantFunction(self.base, depth, table, self.theta)
+        return LocallyConstantFunction(self.base, depth, table)
 
 
 def _check_compatible(f: LocallyConstantFunction, g: LocallyConstantFunction):
     if not f.base.same_shift(g.base):
         raise ValueError("functions live on different shifts")
-    if f.theta != g.theta:
-        raise ValueError("functions carry different metric parameters theta")
 
 
 def add(f: LocallyConstantFunction, g: LocallyConstantFunction) -> LocallyConstantFunction:
@@ -193,12 +184,12 @@ def add(f: LocallyConstantFunction, g: LocallyConstantFunction) -> LocallyConsta
     r = max(f.depth, g.depth)
     fr, gr = f.with_depth(r), g.with_depth(r)
     table = {w: fr.table[w] + gr.table[w] for w in fr.table}
-    return LocallyConstantFunction(f.base, r, table, f.theta)
+    return LocallyConstantFunction(f.base, r, table)
 
 
 def scale(f: LocallyConstantFunction, c: float) -> LocallyConstantFunction:
     table = {w: float(c) * v for w, v in f.table.items()}
-    return LocallyConstantFunction(f.base, f.depth, table, f.theta)
+    return LocallyConstantFunction(f.base, f.depth, table)
 
 
 def sup_diff(f: LocallyConstantFunction, g: LocallyConstantFunction) -> float:
@@ -209,13 +200,12 @@ def sup_diff(f: LocallyConstantFunction, g: LocallyConstantFunction) -> float:
     return float(max(abs(fr.table[w] - gr.table[w]) for w in fr.table))
 
 
-def random_function(shift, depth, rng, low=-1.0, high=1.0, theta=DEFAULT_THETA):
+def random_function(shift, depth, rng, low=-1.0, high=1.0):
     """Table with independent uniform values on every admissible word."""
     words = enumerate_words(shift, depth)
     vals = rng.uniform(low, high, size=len(words))
-    return LocallyConstantFunction(
-        base=shift, depth=depth, table=dict(zip(words, map(float, vals))), theta=theta
-    )
+    table = dict(zip(words, map(float, vals)))
+    return LocallyConstantFunction(base=shift, depth=depth, table=table)
 
 
 def recode_to_markovian(f: LocallyConstantFunction):
@@ -234,5 +224,5 @@ def recode_to_markovian(f: LocallyConstantFunction):
         for v in rec.new.successors(u):
             word = bu + (rec.blocks[v][-1],)
             table[(u, v)] = f.table[word]
-    g = LocallyConstantFunction(base=rec.new, depth=2, table=table, theta=f.theta)
+    g = LocallyConstantFunction(base=rec.new, depth=2, table=table)
     return g, rec

@@ -17,6 +17,7 @@ WORD_CAP = 10_000_000
 # dense matrices over more states than this take too long and too much memory
 # to solve; range 11 on the full 2-shift recodes to exactly this many
 STATE_CAP = 1024
+DEFAULT_THETA = 0.5
 
 
 class EmptyShiftError(ValueError):
@@ -33,9 +34,10 @@ class NotMixingError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Finite state set plus a 0/1 adjacency matrix.
+    """Finite state set plus a 0/1 adjacency matrix, in the metric d_theta.
 
     ``matrix[i, j] == 1`` means the two-letter word (i, j) is admissible.
+    ``theta`` in (0, 1) gives the metric d(x, y) = theta**(first disagreement).
     ``removed`` records the labels pruned away during construction because
     they had no outgoing or no incoming edge.  The shift is immutable; the
     per-word readers use plain-Python copies of ``matrix`` built here once:
@@ -47,8 +49,11 @@ class TransitionMatrix:
     states: tuple
     matrix: np.ndarray
     removed: tuple = ()
+    theta: float = DEFAULT_THETA
 
     def __post_init__(self):
+        if not 0.0 < self.theta < 1.0:
+            raise ValueError("theta must lie in (0, 1)")
         # a private copy: the tables below must keep agreeing with it
         m = np.array(self.matrix, dtype=np.int8)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(self.states):
@@ -130,13 +135,15 @@ class TransitionMatrix:
         return {}
 
     def same_shift(self, other: "TransitionMatrix") -> bool:
-        # equal labels give equal shapes, so the row tables say what
-        # array_equal on the matrices would
-        return self is other or (self.states == other.states and self._rows == other._rows)
+        """Same labels, same admissible pairs and the same metric parameter theta."""
+        # equal labels give equal shapes, so the row tables say what array_equal would
+        return self is other or (
+            self.theta == other.theta and self.states == other.states and self._rows == other._rows
+        )
 
 
-def build_sft(states, edges) -> TransitionMatrix:
-    """Build a shift from state labels and admissible label pairs.
+def build_sft(states, edges, theta: float = DEFAULT_THETA) -> TransitionMatrix:
+    """Build a shift in the metric d_theta from state labels and admissible label pairs.
 
     States that cannot occur in any bi-infinite sequence (no outgoing or no
     incoming edge, iterated to a fixed point) are dropped and recorded in
@@ -173,6 +180,7 @@ def build_sft(states, edges) -> TransitionMatrix:
         states=tuple(states[i] for i in alive),
         matrix=m[np.ix_(alive, alive)],
         removed=tuple(removed),
+        theta=theta,
     )
 
 
@@ -368,5 +376,6 @@ def higher_block_recode(shift: TransitionMatrix, ell: int) -> Recoding:
     new = TransitionMatrix(
         states=tuple(_block_label(shift, b) for b in blocks),
         matrix=m,
+        theta=shift.theta,
     )
     return Recoding(base=shift, new=new, block_length=ell - 1, blocks=tuple(blocks))

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 
-from .potential import DEFAULT_THETA, LocallyConstantFunction
-from .shift import TransitionMatrix, build_sft
+from .potential import LocallyConstantFunction
+from .shift import DEFAULT_THETA, TransitionMatrix, build_sft
 
 # name -> (state labels, admissible two-letter words)
 BUILTIN_SHIFTS = {
@@ -26,24 +26,24 @@ BUILTIN_SYSTEMS = {
 }
 
 
-def builtin_shift(name: str) -> TransitionMatrix:
+def builtin_shift(name: str, theta: float = DEFAULT_THETA) -> TransitionMatrix:
+    """A builtin shift in the metric d_theta."""
     try:
         labels, edges = BUILTIN_SHIFTS[name]
     except KeyError:
         raise ValueError(
             f"unknown shift {name!r}; have {sorted(BUILTIN_SHIFTS)}"
         ) from None
-    return build_sft(labels, edges)
+    return build_sft(labels, edges, theta)
 
 
 def builtin_system(name: str, theta: float = DEFAULT_THETA):
-    """A builtin shift and its potential, measured in the metric d_theta."""
+    """A builtin shift in the metric d_theta, and its potential."""
     try:
         shift_name, depth, values = BUILTIN_SYSTEMS[name]
     except KeyError:
         raise ValueError(
             f"unknown system {name!r}; have {sorted(BUILTIN_SYSTEMS)}"
         ) from None
-    shift = build_sft(*BUILTIN_SHIFTS[shift_name])
-    build = LocallyConstantFunction.from_values
-    return shift, build(shift, depth, values, default=0.0, theta=theta)
+    shift = build_sft(*BUILTIN_SHIFTS[shift_name], theta)
+    return shift, LocallyConstantFunction.from_values(shift, depth, values, default=0.0)

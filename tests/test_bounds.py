@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,6 +226,25 @@ def test_mismatched_bases_rejected(golden_data):
     f = LocallyConstantFunction.indicator(other, (0,))
     with pytest.raises(ValueError):
         pressure_gap_bound(golden_data, mu, f)
+
+
+def test_an_observable_in_another_metric_is_refused(golden_data):
+    # a copy of the data's shift that differs only in theta: every bound
+    # measures f and phi in one metric, so f on the copy is refused
+    f = LocallyConstantFunction.indicator(replace(golden_data.shift, theta=0.3), (0,))
+    mu = random_markov_measure(golden_data.shift, np.random.default_rng(30))
+    observable = "observable lives on a different shift than the Gibbs data"
+    for bound, args in [
+        (pressure_gap_bound, ()),
+        (finitary_gap_bound, (2,)),
+        (block_entropy_gap_bound, (3, 1)),
+    ]:
+        with pytest.raises(ValueError, match=observable):
+            bound(golden_data, mu, f, *args)
+    with pytest.raises(ValueError, match="function and measure live on different shifts"):
+        periodic_orbit_harness(golden_data, f, [3, 4])
+    with pytest.raises(ValueError, match="inputs live on different shifts"):
+        stability_bound(golden_data, golden_data.phi, f)
 
 
 def test_slack_property():

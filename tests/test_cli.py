@@ -464,18 +464,6 @@ def test_measure_sections_are_unknown():
         )
 
 
-def test_overflowing_partition_sum_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "big.cfg"
-    cfg.write_text(
-        "[shift]\nstates = a b c\nedges = ab ac ba\n"
-        '[potential]\nrange = 1\ndefault = 1\nvalue "a" = 700.0\nvalue "b" = -2.0\n'
-        "[experiment]\nkind = partition-sums\n"
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "error: partition sum at n=4 overflows a float" in capsys.readouterr().err
-
-
 def test_overflowing_partition_sum_exits_2_without_warnings(tmp_path, capsys):
     # B's powers pass the float range: both routes form them quietly and
     # refuse the first entry they read that is not finite
@@ -1104,14 +1092,14 @@ def test_theta_is_refused_where_it_is_not_read(tmp_path, capsys, shift, kind):
 
 def test_theta_reaches_builtin_system_potentials(tmp_path, capsys, monkeypatch):
     text = "[shift]\nsystem = golden-range2\n[experiment]\nkind = {}\ntheta = 0.3\n"
-    assert parse_config(text.format("corollary3")).phi.theta == 0.3
-    assert parse_config(text.format("theorem1")).phi.theta == 0.3
+    assert parse_config(text.format("corollary3")).shift.theta == 0.3
+    assert parse_config(text.format("theorem1")).shift.theta == 0.3
     # f and phi are measured in the one metric of the run
     thetas = []
 
     def recording(bound):
         def record(data, mu, f, *args):
-            thetas.append((data.phi.theta, f.theta))
+            thetas.append((data.shift.theta, f.base.theta))
             return bound(data, mu, f, *args)
 
         return record
@@ -1124,6 +1112,20 @@ def test_theta_reaches_builtin_system_potentials(tmp_path, capsys, monkeypatch):
         assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0, kind
     assert thetas and set(thetas) == {(0.3, 0.3)}
     assert "result: FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "source", ["builtin = golden-mean", "states = a b\nedges = aa ab ba"]
+)
+def test_theta_is_the_shifts_for_every_finite_source(source):
+    cfg = parse_config(
+        f"[shift]\n{source}\n[potential]\nrange = 2\ndefault = 0.5\n"
+        "[perturbation]\nrange = 2\ndefault = 0.25\n[observable f]\ndefault = 1.0\n"
+        "[experiment]\nkind = corollary3\ntheta = 0.3\n"
+    )
+    assert cfg.shift.theta == 0.3
+    functions = [cfg.phi, cfg.perturbation, cfg.observables["f"]]
+    assert all(g.base is cfg.shift for g in functions)
 
 
 def test_counts_are_refused_before_any_solve(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_variation_nonincreasing(depth3):
 def test_holder_certificate(depth3):
     # var_n <= A theta^n for all n, with A the certified constant
     a = depth3.holder_constant()
-    theta = depth3.theta
+    theta = depth3.base.theta
     for n in range(1, 2 * depth3.depth + 1):
         assert depth3.variation(n) <= a * theta**n + 1e-14
 
@@ -74,7 +75,7 @@ def test_norms_split(golden):
     )
     norms = f.norms()
     assert norms.sup == 0.4
-    assert norms.lip == pytest.approx(f.variation(1) / f.theta)
+    assert norms.lip == pytest.approx(f.variation(1) / f.base.theta)
     assert norms.total == norms.sup + norms.lip
 
 
@@ -144,9 +145,10 @@ def test_with_depth_preserves_values(depth3):
 
 
 def test_theta_mismatch_rejected(golden):
-    f = LocallyConstantFunction.zero(golden, theta=0.5)
-    g = LocallyConstantFunction.zero(golden, theta=0.3)
-    with pytest.raises(ValueError, match="theta"):
+    # two copies of one shift that differ only in the metric parameter
+    f = LocallyConstantFunction.zero(replace(golden, theta=0.5))
+    g = LocallyConstantFunction.zero(replace(golden, theta=0.3))
+    with pytest.raises(ValueError, match="functions live on different shifts"):
         add(f, g)
 
 
@@ -189,6 +191,6 @@ def test_random_tables_satisfy_holder_certificate(seed):
     f = random_function(shift, int(rng.integers(1, 5)), rng)
     a = f.holder_constant()
     for n in range(1, 2 * f.depth + 1):
-        assert f.variation(n) <= a * f.theta**n + 1e-12
+        assert f.variation(n) <= a * f.base.theta**n + 1e-12
     tails = [f.tail_constant(n) for n in range(1, f.depth + 2)]
     assert all(x >= y for x, y in zip(tails, tails[1:]))

@@ -7,6 +7,7 @@ from thermoshift import shift as shift_module
 from thermoshift.shift import (
     EmptyShiftError,
     EnumerationLimitError,
+    TransitionMatrix,
     build_sft,
     enumerate_periodic,
     enumerate_words,
@@ -151,6 +152,22 @@ def test_same_shift_is_content_based():
     assert one is not two
     assert one.same_shift(two)
     assert not one.same_shift(builtin_shift("tribonacci"))
+
+
+def test_a_shift_carries_its_metric_parameter():
+    shift = build_sft(["a", "b"], GOLDEN_EDGES, theta=0.3)
+    assert shift.theta == 0.3 and build_sft(["a", "b"], GOLDEN_EDGES).theta == 0.5
+    assert not shift.same_shift(build_sft(["a", "b"], GOLDEN_EDGES))
+    assert shift.same_shift(build_sft(["a", "b"], GOLDEN_EDGES, theta=0.3))
+    assert higher_block_recode(shift, 3).new.theta == 0.3
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, float("nan")])
+def test_theta_outside_the_open_unit_interval_is_refused(theta):
+    with pytest.raises(ValueError, match=r"^theta must lie in \(0, 1\)$"):
+        build_sft(["a", "b"], GOLDEN_EDGES, theta)
+    with pytest.raises(ValueError, match=r"^theta must lie in \(0, 1\)$"):
+        TransitionMatrix(("a", "b"), np.ones((2, 2)), theta=theta)
 
 
 @st.composite

@@ -15,17 +15,17 @@ from thermoshift.shift import build_sft
 from thermoshift.systems import BUILTIN_SHIFTS, BUILTIN_SYSTEMS, builtin_shift, builtin_system
 
 
-def _full_shift_2():
-    return build_sft(["a", "b"], [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")])
+def _full_shift_2(theta=0.5):
+    return build_sft(["a", "b"], [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")], theta)
 
 
-def _golden_mean_shift():
-    return build_sft(["a", "b"], [("a", "a"), ("a", "b"), ("b", "a")])
+def _golden_mean_shift(theta=0.5):
+    return build_sft(["a", "b"], [("a", "a"), ("a", "b"), ("b", "a")], theta)
 
 
-def _tribonacci_shift():
+def _tribonacci_shift(theta=0.5):
     edges = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "c"), ("c", "a")]
-    return build_sft(["a", "b", "c"], edges)
+    return build_sft(["a", "b", "c"], edges, theta)
 
 
 ORACLE_SHIFTS = {
@@ -37,24 +37,24 @@ ORACLE_SHIFTS = {
 
 def _zero_system(factory):
     def make(theta):
-        shift = factory()
-        return shift, LocallyConstantFunction.zero(shift, theta=theta)
+        shift = factory(theta)
+        return shift, LocallyConstantFunction.zero(shift)
 
     return make
 
 
 def _full2_bernoulli(theta):
-    shift = _full_shift_2()
+    shift = _full_shift_2(theta)
     phi = LocallyConstantFunction.from_values(
-        shift, 1, {("a",): math.log(0.3), ("b",): math.log(0.7)}, theta=theta
+        shift, 1, {("a",): math.log(0.3), ("b",): math.log(0.7)}
     )
     return shift, phi
 
 
 def _golden_range2(theta):
-    shift = _golden_mean_shift()
+    shift = _golden_mean_shift(theta)
     phi = LocallyConstantFunction.from_values(
-        shift, 2, {("a", "a"): 0.25, ("a", "b"): -0.4, ("b", "a"): 0.1}, theta=theta
+        shift, 2, {("a", "a"): 0.25, ("a", "b"): -0.4, ("b", "a"): 0.1}
     )
     return shift, phi
 
@@ -71,6 +71,7 @@ ORACLE_SYSTEMS = {
 def _assert_same_shift(got, want):
     assert got.states == want.states
     assert got.removed == want.removed
+    assert got.theta == want.theta
     assert got.matrix.dtype == want.matrix.dtype
     assert np.array_equal(got.matrix, want.matrix)
 
@@ -92,14 +93,15 @@ def test_builtin_system_matches_its_factory(name, theta):
     want_shift, want_phi = ORACLE_SYSTEMS[name](theta)
     _assert_same_shift(shift, want_shift)
     assert phi.base is shift
-    assert (phi.depth, phi.theta) == (want_phi.depth, want_phi.theta)
+    assert (phi.depth, phi.base.theta) == (want_phi.depth, want_phi.base.theta)
     # same keys in the same order, and every value equal as a float
     assert list(phi.table.items()) == list(want_phi.table.items())
     assert all(type(v) is float for v in phi.table.values())
 
 
 def test_builtin_system_theta_defaults_to_one_half():
-    assert builtin_system("golden-range2")[1].theta == 0.5
+    assert builtin_system("golden-range2")[1].base.theta == 0.5
+    assert builtin_shift("golden-mean").theta == 0.5
 
 
 @pytest.mark.parametrize(

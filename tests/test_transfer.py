@@ -194,14 +194,11 @@ def test_a_state_is_read_as_a_label_on_integer_labels():
     assert point_mass(shift, 1).initial.tolist() == [1.0, 0.0]
 
 
-def test_gurevich_estimate_converges():
-    shift = builtin_shift("golden-mean")
-    phi = LocallyConstantFunction.zero(shift)
-    rows = gurevich_estimate(shift, phi, "a", 12)
-    residuals = {n: res for n, _, res in rows}
-    assert residuals[12] <= 0.06
-    for n in range(5, 13):
-        assert residuals[n] <= residuals[n - 1] + 1e-12
+def test_equilibrium_recodes_onto_a_shift_in_the_same_metric():
+    shift = builtin_shift("golden-mean", theta=0.3)
+    data = equilibrium(random_function(shift, 3, np.random.default_rng(31)))
+    assert data.shift.n == 3
+    assert data.shift.theta == 0.3 and data.phi.base is data.shift
 
 
 def test_equilibrium_recodes_long_range():
