@@ -117,6 +117,13 @@ class CountableModel:
     def pressure(self) -> float:
         return math.log(self.total())
 
+    def truncation_gap(self, n: int) -> float:
+        """P - P_n, the pressure lost by truncating to states 1..n: the
+        truncation's pressure is log(total - tail(n)), so the gap is
+        -log(1 - tail(n)/total), taken with log1p so that no two nearly
+        equal logarithms are subtracted."""
+        return -math.log1p(-self.tail(n) / self.total())
+
     def expectation(self, values: dict) -> float:
         """Integral of a finitely supported state function against the
         normalized weights."""
@@ -146,8 +153,8 @@ class FiniteSubsystem:
 
     @property
     def pressure_gap(self) -> float:
-        gap = self.model.pressure() - self.data.pressure
-        return max(gap, 0.0)
+        """P - P_N of the model, in the closed form corollary 1 reports."""
+        return self.model.truncation_gap(self.data.shift.n)
 
     def observable(self, values: dict) -> LocallyConstantFunction:
         """Range-1 function on the truncation from a state-indexed table."""
@@ -178,6 +185,11 @@ def truncation_harness(model: CountableModel, values: dict, n_range) -> list:
     truncation's.  `values` is a finitely supported observable on the states;
     rows whose truncation misses part of the support are flagged vacuous
     rather than scored.
+
+    The left side |m(f) - m_n(f)| is formed without subtracting the two
+    nearly equal expectations: with inside and outside the sums of v w(s)
+    over s <= n and s > n, it is
+    |outside/total - inside tail/(total (total - tail))|.
     """
     if any(s < 1 for s in values):
         raise ValueError("states are numbered from 1")
@@ -187,14 +199,13 @@ def truncation_harness(model: CountableModel, values: dict, n_range) -> list:
     reports = []
     for n in n_range:
         tail = model.tail(n)
-        gap = -math.log1p(-tail / total)
+        gap = model.truncation_gap(n)
         covered = all(s <= n for s in values)
         truncated_total = total - tail
-        mn_f = (
-            sum(v * model.weight(s) for s, v in values.items() if s <= n)
-            / truncated_total
-        )
-        lhs = abs(m_f - mn_f)
+        inside = sum(v * model.weight(s) for s, v in values.items() if s <= n)
+        outside = sum(v * model.weight(s) for s, v in values.items() if s > n)
+        mn_f = inside / truncated_total
+        lhs = abs(outside / total - inside * tail / (total * truncated_total))
         rhs = AMBIENT_A * f_norm * math.sqrt(gap) if covered else math.inf
         reports.append(
             BoundReport(

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -314,6 +315,41 @@ def test_truncation_gap_closed_form():
         )
         assert not rep.vacuous
         assert rep.slack >= 0.0
+
+
+TRUNCATED_MODELS = [geometric_model(r) for r in (0.1, 0.3, 0.5, 0.7)] + [
+    zeta_model(alpha) for alpha in (1.5, 2.0, 4.0)
+]
+
+
+@pytest.mark.parametrize("n", [2, 6, 20, 40, 80])
+@pytest.mark.parametrize("model", TRUNCATED_MODELS, ids=lambda m: f"{m.family}-{m.param:g}")
+def test_both_corollaries_read_one_truncation_gap(model, n):
+    [rep] = truncation_harness(model, {1: 1.0}, [n])
+    assert truncate(model, n).pressure_gap == rep.terms["pressure_gap"]
+
+
+def test_truncation_gap_far_below_the_pressure_resolution():
+    # P - P_80 = -log(1 - 2^-80) is 8.3e-25; log(total) - log(total - tail)
+    # would read a rounding of log(1) instead
+    assert truncate(geometric_model(0.5), 80).pressure_gap == -math.log1p(-(2.0**-80))
+    assert truncate(geometric_model(0.1), 20).pressure_gap > 0.0
+
+
+@pytest.mark.parametrize("n", [30, 60])
+@pytest.mark.parametrize("values", [{1: 1.0}, {2: 1.0, 30: 1.0}], ids=["state-1", "states-2-30"])
+def test_truncation_lhs_matches_exact_rationals(values, n):
+    # geometric(0.5) has dyadic weights 2^-s, total 1 and tail(n) = 2^-n, so
+    # Fraction gives |m(f) - m_n(f)| exactly; the float form takes a handful
+    # of roundings, each within 2^-53 relative
+    model = geometric_model(0.5)
+    weight = {s: Fraction(1, 2**s) for s in values}
+    total, tail = Fraction(1), Fraction(1, 2**n)
+    m_f = sum(Fraction(v) * weight[s] for s, v in values.items()) / total
+    mn_f = sum(Fraction(v) * weight[s] for s, v in values.items() if s <= n) / (total - tail)
+    exact = abs(m_f - mn_f)
+    [rep] = truncation_harness(model, values, [n])
+    assert rep.lhs == pytest.approx(float(exact), rel=8 * 2.0**-53, abs=0.0)
 
 
 def test_truncation_lhs_ratio_vanishes():

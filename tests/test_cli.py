@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -653,6 +654,24 @@ def test_module_entry_point_runs_under_warnings_as_errors(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "result: PASS" in proc.stdout
     assert (tmp_path / "out" / "pressure.csv").is_file()
+
+
+README_RUNS = [
+    block
+    for block in re.findall(
+        r"^ *```ini\n(.*?)^ *```",
+        (pathlib.Path(__file__).parents[1] / "README.md").read_text(),
+        re.MULTILINE | re.DOTALL,
+    )
+    if "[experiment]" in block
+]
+
+
+@pytest.mark.parametrize("text", README_RUNS, ids=range(len(README_RUNS)))
+def test_readme_configs_run_and_pass(tmp_path, text):
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 # The three cross-checks below are judged by the experiment alone: a

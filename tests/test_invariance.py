@@ -1,0 +1,115 @@
+"""Metamorphic witnesses: exact invariances of the theory, checked between
+two runs of the program with no oracle.
+
+A relabelling of the states, a coboundary added to the potential, and the
+recoding of a range-2 potential to range 3 leave the pressure, the entropy
+rate and the Gibbs measure unchanged.  Where the program answers on both
+sides, the answers must agree to its own standards: cli.IDENTITY_TOL for an
+exact identity, measures.KERNEL_ROW_TOL for a kernel entry.  A side that is
+refused (a potential past the float range, a vector the solver cannot
+trust) has nothing to compare.
+"""
+
+import itertools
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from thermoshift.cli import IDENTITY_TOL
+from thermoshift.measures import KERNEL_ROW_TOL, entropy_rate, integrate
+from thermoshift.potential import LocallyConstantFunction, recode_to_markovian
+from thermoshift.shift import EmptyShiftError, build_sft, enumerate_words, is_topologically_mixing
+from thermoshift.transfer import EigensolverError, equilibrium, perron_data
+
+# the value scales of the exit-code contract test, up to its +-1000
+SCALES = (5.0, 50.0, 300.0, 1000.0)
+
+
+@st.composite
+def mixing_systems(draw):
+    """(scale, range-2 potential) on a mixing shift of 1-4 states, with every
+    value in +-scale."""
+    labels = "abcd"[: draw(st.integers(1, 4))]
+    edges = [u + v for u, v in itertools.product(labels, repeat=2) if draw(st.booleans())]
+    try:
+        shift = build_sft(labels, edges)
+    except EmptyShiftError:
+        assume(False)
+    assume(is_topologically_mixing(shift))
+    scale = draw(st.sampled_from(SCALES))
+    values = {
+        "".join(shift.labels(w)): draw(st.floats(-scale, scale))
+        for w in enumerate_words(shift, 2)
+    }
+    return scale, LocallyConstantFunction.from_values(shift, 2, values)
+
+
+def answer(solve, phi):
+    """solve(phi), or None where the program refuses it."""
+    try:
+        return solve(phi)
+    except (ValueError, EigensolverError):
+        return None
+
+
+def solve(phi):
+    return perron_data(phi.base, phi)
+
+
+def assert_same_equilibrium(data, other, order):
+    """Same pressure, kappa, entropy rate and Gibbs kernel, with state i of
+    data at state order[i] of other."""
+    assert abs(data.pressure - other.pressure) <= IDENTITY_TOL
+    assert abs(data.kappa - other.kappa) <= IDENTITY_TOL
+    assert abs(entropy_rate(data.measure) - entropy_rate(other.measure)) <= IDENTITY_TOL
+    kernel = other.measure.kernel[np.ix_(order, order)]
+    assert np.abs(kernel - data.measure.kernel).max() <= KERNEL_ROW_TOL
+
+
+def relabelled(phi, states):
+    """phi on the same shift with its states listed in the order states."""
+    shift = phi.base
+    words = enumerate_words(shift, 2)
+    edges = ["".join(shift.labels(w)) for w in words]
+    permuted = build_sft(states, edges, shift.theta)
+    values = {edge: phi.table[w] for edge, w in zip(edges, words)}
+    return LocallyConstantFunction.from_values(permuted, 2, values)
+
+
+def plus_coboundary(phi, g):
+    """phi(ij) + g(j) - g(i)."""
+    table = {(i, j): v + g[j] - g[i] for (i, j), v in phi.table.items()}
+    return LocallyConstantFunction(phi.base, 2, table)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(system=mixing_systems(), data=st.data())
+def test_relabelling_coboundary_and_recoding_change_no_number(system, data):
+    _, phi = system
+    shift = phi.base
+    base = answer(solve, phi)
+    assume(base is not None)
+
+    states = data.draw(st.permutations(shift.states))
+    other = answer(solve, relabelled(phi, states))
+    if other is not None:
+        order = [other.shift.index(s) for s in shift.states]
+        assert_same_equilibrium(base, other, order)
+
+    g = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=shift.n, max_size=shift.n))
+    other = answer(solve, plus_coboundary(phi, g))
+    if other is not None:
+        assert_same_equilibrium(base, other, list(range(shift.n)))
+
+    phi3 = phi.with_depth(3)
+    other = answer(equilibrium, phi3)
+    if other is not None:
+        blocks = recode_to_markovian(phi3)[1].blocks
+        state = data.draw(st.integers(0, shift.n - 1))
+        f = LocallyConstantFunction.indicator(shift, (state,))
+        lifted = {(u,): float(block[0] == state) for u, block in enumerate(blocks)}
+        f3 = LocallyConstantFunction(other.shift, 1, lifted)
+        assert abs(base.pressure - other.pressure) <= IDENTITY_TOL
+        assert abs(entropy_rate(base.measure) - entropy_rate(other.measure)) <= IDENTITY_TOL
+        assert abs(integrate(base.measure, f) - integrate(other.measure, f3)) <= IDENTITY_TOL
