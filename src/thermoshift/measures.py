@@ -207,9 +207,13 @@ def make_markov_measure(shift: TransitionMatrix, kernel) -> MarkovMeasure:
         raise ValueError("kernel rows must sum to 1")
     p = p / rows[:, None]
 
-    # a kernel charging every edge has the shift's own components
-    graph = shift._components if (support == shift.matrix).all() else None
-    classes = _recurrent_classes(support, graph)
+    full = (support == shift.matrix).all()
+    if full and shift._components[0] == 1:
+        # a kernel charging every edge has the shift's own components, and on
+        # an irreducible shift that is one class of every state
+        classes = [range(shift.n)]
+    else:
+        classes = _recurrent_classes(support, shift._components if full else None)
     if len(classes) != 1:
         names = [", ".join(shift.states[i] for i in cls) for cls in classes]
         raise ValueError(
@@ -217,18 +221,22 @@ def make_markov_measure(shift: TransitionMatrix, kernel) -> MarkovMeasure:
             % (len(classes), "}, {".join(names))
         )
     members = classes[0]
-    sub = p[np.ix_(members, members)]
-    # pi restricted to the class: solve pi (P - I) = 0 with sum(pi) = 1
     k = len(members)
-    lhs = (sub - np.eye(k)).T
+    # pi restricted to the class: solve pi (P - I) = 0 with sum(pi) = 1;
+    # a class of every state is solved on p itself
+    lhs = (p if k == shift.n else p[np.ix_(members, members)]).T.copy()
+    lhs.flat[:: k + 1] -= 1.0
     lhs[-1, :] = 1.0
     rhs = np.zeros(k)
     rhs[-1] = 1.0
     sol = np.linalg.solve(lhs, rhs)
     sol = np.maximum(sol, 0.0)
     sol /= sol.sum()
-    pi = np.zeros(shift.n)
-    pi[members] = sol
+    if k == shift.n:
+        pi = sol
+    else:
+        pi = np.zeros(shift.n)
+        pi[members] = sol
     return MarkovMeasure(base=shift, kernel=p, initial=pi)
 
 
@@ -391,24 +399,59 @@ def _rel_entr(x: float, y: float) -> float:
     return math.inf
 
 
+def _pairwise_sum(v: list) -> float:
+    """The sum of a list of floats, added in the order np.add.reduce adds a
+    float64 array, so that both give the same bits: in order below 8
+    entries, eight running sums over a block of at most 128, and above that
+    two halves split at a multiple of 8."""
+    n = len(v)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
+    total = 0.0
+    if n < 8:
+        for x in v:
+            total += x
+        return total
+    r = v[:8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        r = [a + b for a, b in zip(r, v[i : i + 8])]
+    total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in v[tail:]:
+        total += x
+    return total
+
+
+def _floats(v) -> list:
+    """The entries of a one-dimensional vector as Python floats."""
+    if isinstance(v, list):
+        try:
+            return [float(x) for x in v]
+        except TypeError:
+            pass  # nested lists, or None entries: read as an array below
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise ValueError("length mismatch")
+    return v.tolist()
+
+
 def kl_divergence(p, q) -> float:
     """Divergence of q from the reference p: sum_i q_i log(q_i / p_i).
 
     Returns +inf when q charges a point p does not; this is deliberately a
     value rather than an error, so harnesses can report a vacuous bound.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
+    ps, qs = _floats(p), _floats(q)
+    if len(ps) != len(qs):
         raise ValueError("length mismatch")
-    ps, qs = p.tolist(), q.tolist()
     # nan passes the sign and sum checks below, since each comparison is False
     for name, v in (("p", ps), ("q", qs)):
         if not all(map(math.isfinite, v)):
             raise ValueError(f"{name} has non-finite entries")
     if min(ps, default=0.0) < 0.0 or min(qs, default=0.0) < 0.0:
         raise ValueError("negative entries")
-    if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
+    if abs(_pairwise_sum(ps) - 1.0) > 1e-9 or abs(_pairwise_sum(qs) - 1.0) > 1e-9:
         raise ValueError("arguments must be probability vectors")
     return _kl_sum(ps, qs)
 
@@ -416,8 +459,7 @@ def kl_divergence(p, q) -> float:
 def _kl_sum(ps: list, qs: list) -> float:
     """The divergence of finite nonnegative qs from ps, read as probability
     vectors without checking their sums."""
-    # a full-length array keeps numpy's pairwise summation order
-    total = float(np.array([_rel_entr(x, y) for x, y in zip(qs, ps)]).sum())
+    total = _pairwise_sum([_rel_entr(x, y) for x, y in zip(qs, ps)])
     if -1e-12 < total < 0.0:
         total = 0.0
     return total

@@ -109,7 +109,12 @@ def _perron_vector(matrix: np.ndarray):
             )
         raise EigensolverError(f"dominant root {lam} is not real and positive")
     vec = vecs[:, k].real
-    vec = vec / vec.sum()
+    total = float(vec.sum())
+    # entries of mixed sign can cancel to a zero sum, and a division by it
+    # would warn before the sign test below refused the vector
+    if total == 0.0 or not math.isfinite(total):
+        raise EigensolverError("Perron vector is not strictly positive")
+    vec = vec / total
     if not np.all(vec > 0.0):
         raise EigensolverError("Perron vector is not strictly positive")
     return vals, k, vec
@@ -132,7 +137,9 @@ def _spectrum(b: np.ndarray):
             f"dominant root {lam} overflows a float: the pressure is past "
             "the float range"
         )
-    lambda2 = float(np.max(np.abs(np.delete(vals, k)), initial=0.0))
+    moduli = np.abs(vals)
+    moduli[k] = 0.0  # every modulus but lam's, and 0.0 for a 1 x 1 matrix
+    lambda2 = float(moduli.max())
     return lam, lambda2, u, v, vals
 
 

@@ -553,6 +553,30 @@ def test_overflowing_root_exits_2_without_warnings(tmp_path, capsys, kind):
     )
 
 
+ZERO_SUM_PERRON = (
+    "[shift]\nstates = a b c\nedges = aa ab ac bc ca cc\n\n"
+    '[potential]\nrange = 2\ndefault = 0.0\nvalue "ac" = -38.0\nvalue "bc" = -73.0\n'
+    'value "ca" = -38.0\n\n[experiment]\nkind = pressure\n'
+)
+
+
+def test_zero_sum_perron_vector_exits_2_without_warnings(tmp_path, capsys):
+    # eig's eigenvector for the dominant root sums to exactly 0.0 here: the
+    # sum is refused before anything divides by it
+    cfg = tmp_path / "zero-sum.cfg"
+    cfg.write_text(ZERO_SUM_PERRON)
+    message = "error: Perron vector is not strictly positive\n"
+    assert run_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == message
+    for flags in ([], ["-W", "error::RuntimeWarning"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "thermoshift", "run", str(cfg), "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (2, message)
+
+
 def test_gurevich_estimate_refuses_an_overflowing_root(tmp_path, capsys):
     # the period-1 sums are finite, so the estimate is the first to read the
     # overflowing root; it is refused there, not written as a rate beside

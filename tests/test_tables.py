@@ -25,6 +25,7 @@ from thermoshift import shift as shift_module
 from thermoshift.bounds import block_entropy_gap_bound, reduction_step_norms
 from thermoshift.measures import (
     MarkovMeasure,
+    _pairwise_sum,
     _recurrent_classes,
     _rel_entr,
     block_entropy,
@@ -653,11 +654,39 @@ def test_kl_divergence_matches_numpy_validated_oracle(args):
         ([0.5, 0.5], [-math.inf, 0.5], "q has non-finite entries"),
         ([0.5, 0.5], [1.0], "length mismatch"),
         ([0.5, 0.25], [0.5, 0.5], "arguments must be probability vectors"),
+        (np.full((2, 2), 0.25), np.full(4, 0.25), "length mismatch"),
+        (np.full(4, 0.25), np.full((1, 4), 0.25), "length mismatch"),
+        ([[0.5, 0.5]], [0.5, 0.5], "length mismatch"),
+        ([0.5, 0.5], [None, 0.5], "q has non-finite entries"),
     ],
 )
 def test_kl_divergence_refusals_match_oracle(p, q, message):
     expected = ("raises", ValueError, message)
     assert outcome(kl_divergence, p, q) == outcome(kl_divergence_oracle, p, q) == expected
+
+
+def test_pairwise_sum_adds_in_numpy_order():
+    rng = np.random.default_rng(53)
+    for n in [*range(301), 500, 1000, 4097]:
+        # magnitudes over 20 decades and both signs, so the order shows
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-10, 10, n)
+        assert _pairwise_sum(v.tolist()) == np.add.reduce(v)
+        assert _pairwise_sum([abs(x) for x in v.tolist()]) == np.add.reduce(np.abs(v))
+
+
+def test_kl_divergence_on_lists_matches_the_array_route():
+    rng = np.random.default_rng(59)
+    for _ in range(2000):
+        dim = int(rng.integers(2, 9))
+        p, q = rng.dirichlet([1.0] * dim), rng.dirichlet([1.0] * dim)
+        # zeros on either side: 0 log 0 terms, and infinite divergences
+        for v in (p, q):
+            if rng.random() < 0.3:
+                v[int(rng.integers(dim))] = 0.0
+                v /= v.sum()
+        want = outcome(kl_divergence_oracle, p, q)
+        assert outcome(kl_divergence, p.tolist(), q.tolist()) == want
+        assert outcome(kl_divergence, p, q) == want
 
 
 def test_kl_divergence_takes_negative_zero_as_zero():
@@ -718,6 +747,39 @@ def test_recurrent_classes_match_submatrix_oracle():
         p, classes = _kernel_with_classes(rng)
         adjacency = p > 0.0
         assert _recurrent_classes(adjacency) == recurrent_classes_oracle(adjacency) == classes
+
+
+def _irreducible_kernel(rng, n, density):
+    """A random kernel on n states whose support is a cycle through every
+    state plus each other edge with probability ``density``."""
+    order = rng.permutation(n).tolist()
+    w = (rng.random((n, n)) < density) * rng.uniform(0.1, 1.0, size=(n, n))
+    for a, b in zip(order, order[1:] + order[:1]):
+        w[a, b] = rng.uniform(0.1, 1.0)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def test_make_markov_measure_solves_as_the_submatrix_route_did():
+    rng = np.random.default_rng(61)
+    kinds = {"full support": 0, "partial support": 0, "transient states": 0}
+    while min(kinds.values()) < 150:
+        kind = min(kinds, key=kinds.get)
+        if kind == "transient states":
+            p, classes = _kernel_with_classes(rng)
+            if len(classes) != 1 or len(classes[0]) == len(p):
+                continue
+            n = len(p)
+            shift = TransitionMatrix(states=tuple(range(n)), matrix=np.ones((n, n)))
+        else:
+            n = int(rng.integers(1, 7))
+            p = _irreducible_kernel(rng, n, 0.5)
+            # the shift allows exactly the kernel's edges, or every edge
+            matrix = (p > 0.0) if kind == "full support" else np.ones((n, n))
+            shift = TransitionMatrix(states=tuple(range(n)), matrix=matrix)
+        want = _measure_outcome(make_markov_measure_oracle, shift, p)
+        assert want[0] == "value"
+        assert _measure_outcome(make_markov_measure, shift, p) == want
+        kinds[kind] += 1
 
 
 # -- per-shift, per-measure and per-function caches ------------------------------
