@@ -49,13 +49,14 @@ def builtin_system(name: str, theta: float = DEFAULT_THETA):
     return shift, LocallyConstantFunction.from_values(shift, depth, values, default=0.0)
 
 
-def builtin_systems(theta: float = DEFAULT_THETA) -> list:
-    """Every builtin system as (name, shift, potential), in sorted name order.
+def builtin_systems() -> list:
+    """Every builtin system as (name, shift, potential), in sorted name order,
+    in the default metric.
 
     Systems on one builtin shift share one shift object, and with it the
     components, mixing verdict and word counts it keeps once computed.
     """
-    shifts = {name: builtin_shift(name, theta) for name in BUILTIN_SHIFTS}
+    shifts = {name: builtin_shift(name) for name in BUILTIN_SHIFTS}
     systems = []
     for name, (shift_name, depth, values) in sorted(BUILTIN_SYSTEMS.items()):
         shift = shifts[shift_name]

@@ -7,9 +7,10 @@ own, so both sides run in one interpreter, on the same generated configs
 (``perfbench/workloads.py`` of the checkout holding this script, imported
 read-only).  Batches 0..N run on both sides, alternating which side goes
 first; batch 0 warms both sides and is compared but not timed.  Each
-side's batch time is the process time (``time.process_time``) spent inside
-``cli.main``, summed over the batch's configs, so the host's other load
-moves it less than wall time.
+config runs through ``perfbench/gate.py``'s ``invoke``, with ``gate.cli``
+pointed at the side's ``cli`` module.  Each side's batch time is the process
+time (``time.process_time``) of those calls, summed over the batch's
+configs, so the host's other load moves it less than wall time.
 
 RuntimeWarnings are errors here, as in the tier-1 suite.  Every invocation's
 exit code, standard output (with the ``--out`` directory masked), standard
@@ -24,18 +25,14 @@ object with the same numbers.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib
 import importlib.util
-import io
 import json
 import os
-import shutil
 import statistics
 import sys
 import tempfile
 import time
-import traceback
 import warnings
 from pathlib import Path
 
@@ -44,9 +41,10 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 sys.dont_write_bytecode = True  # leave no cache files beside the benchmark's sources
 
+import gate  # noqa: E402
 import workloads  # noqa: E402
 
 SIDES = ("parent", "change")
@@ -73,27 +71,14 @@ def unload(name: str):
 
 
 def invoke(cli, inv, workdir: Path):
-    """(process seconds, outcome) of one config run as
-    ``thermoshift run <cfg> --out <dir>``; the outcome is (exit code or
-    traceback, stdout, stderr, CSV bytes)."""
-    cfg = workdir / f"{inv.name}.cfg"
-    out = workdir / inv.name
-    cfg.write_text(inv.text, encoding="utf-8")
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        start = time.process_time()
-        try:
-            rc = cli.main(["run", str(cfg), "--out", str(out)])
-        except SystemExit as exc:
-            rc = exc.code if isinstance(exc.code, int) else 2
-        except Exception:  # a traceback is an outcome to compare, not a crash
-            rc = traceback.format_exc().splitlines()[-1]
-        seconds = time.process_time() - start
-    csv_path = out / f"{inv.kind}.csv"
-    csv = csv_path.read_bytes() if csv_path.is_file() else None
-    shutil.rmtree(out, ignore_errors=True)
-    cfg.unlink()
-    return seconds, (rc, stdout.getvalue().replace(str(out), "<out>"), stderr.getvalue(), csv)
+    """(process seconds, outcome) of one config run through ``gate.invoke``
+    on ``cli``; the outcome is (exit code, stdout with the ``--out``
+    directory masked, stderr, CSV bytes)."""
+    gate.cli = cli
+    start = time.process_time()
+    o = gate.invoke(inv, workdir)
+    seconds = time.process_time() - start
+    return seconds, (o.rc, o.stdout.replace(str(workdir / inv.name), "<out>"), o.stderr, o.csv)
 
 
 def run_batch(cli, batch, workdir: Path):
