@@ -46,8 +46,6 @@ from .measures import (
     kl_divergence,
     make_markov_measure,
     metric_pressure,
-    pinsker_gap,
-    point_mass,
     random_markov_measure,
     reverse_kernel,
 )
@@ -57,7 +55,6 @@ from .potential import (
     add,
     random_function,
     recode_to_markovian,
-    scale,
     sup_diff,
 )
 from .shift import (
@@ -65,7 +62,6 @@ from .shift import (
     EmptyShiftError,
     EnumerationLimitError,
     NotMixingError,
-    Recoding,
     TransitionMatrix,
     build_sft,
     enumerate_periodic,
@@ -82,10 +78,8 @@ from .transfer import (
     equilibrium,
     gibbs_certificate,
     gurevich_estimate,
-    normalize_zero_pressure,
     partition_sum,
     perron_data,
-    pressure,
     transfer_matrix,
 )
 

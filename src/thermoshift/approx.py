@@ -205,7 +205,9 @@ def truncation_harness(model: CountableModel, values: dict, n_range) -> list:
         inside = sum(v * model.weight(s) for s, v in values.items() if s <= n)
         outside = sum(v * model.weight(s) for s, v in values.items() if s > n)
         mn_f = inside / truncated_total
-        lhs = abs(outside / total - inside * tail / (total * truncated_total))
+        # an underflowed tail leaves total * truncated_total 0.0 too
+        correction = inside * tail / (total * truncated_total) if tail else 0.0
+        lhs = abs(outside / total - correction)
         rhs = AMBIENT_A * f_norm * math.sqrt(gap) if covered else math.inf
         reports.append(
             BoundReport(

@@ -240,38 +240,6 @@ def make_markov_measure(shift: TransitionMatrix, kernel) -> MarkovMeasure:
     return MarkovMeasure(base=shift, kernel=p, initial=pi)
 
 
-def point_mass(shift: TransitionMatrix, state) -> MarkovMeasure:
-    """The invariant measure sitting on the fixed point of a self-looping state.
-
-    Other states are routed deterministically toward that state along shortest
-    admissible paths, so the kernel is stochastic everywhere but only the loop
-    carries mass.
-    """
-    a = shift.index(state)
-    if not shift.matrix[a, a]:
-        raise ValueError(f"state {shift.states[a]!r} has no self-loop")
-    # next_step[i] = first move of a shortest path i -> a
-    next_step = {a: a}
-    frontier = [a]
-    while frontier:
-        new = []
-        for v in frontier:
-            for u in range(shift.n):
-                if shift.matrix[u, v] and u not in next_step:
-                    next_step[u] = v
-                    new.append(u)
-        frontier = new
-    if len(next_step) < shift.n:
-        stranded = [shift.states[i] for i in range(shift.n) if i not in next_step]
-        raise ValueError(f"states {stranded} cannot reach {shift.states[a]!r}")
-    p = np.zeros((shift.n, shift.n))
-    for i, j in next_step.items():
-        p[i, j] = 1.0
-    pi = np.zeros(shift.n)
-    pi[a] = 1.0
-    return MarkovMeasure(base=shift, kernel=p, initial=pi)
-
-
 def _flat_dirichlet(rng: np.random.Generator, dim: int) -> np.ndarray:
     """rng.dirichlet([1.0] * dim), bit for bit and leaving the stream where
     it does: the same unit gammas, scaled by the reciprocal of their sum
@@ -463,12 +431,6 @@ def _kl_sum(ps: list, qs: list) -> float:
     if -1e-12 < total < 0.0:
         total = 0.0
     return total
-
-
-def pinsker_gap(p, q):
-    """The pair (l1 distance, sqrt(2 KL)); the first never exceeds the second."""
-    l1 = float(np.abs(np.asarray(q, dtype=float) - np.asarray(p, dtype=float)).sum())
-    return l1, math.sqrt(2.0 * kl_divergence(p, q))
 
 
 def conditional_kl_integral(gibbs_measure: MarkovMeasure, mu: MarkovMeasure) -> float:

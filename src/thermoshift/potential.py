@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .shift import Recoding, TransitionMatrix, enumerate_words, higher_block_recode
+from .shift import TransitionMatrix, enumerate_words, higher_block_recode
 
 
 class Norms(NamedTuple):
@@ -99,8 +99,6 @@ class LocallyConstantFunction:
         except KeyError:
             raise ValueError(f"inadmissible word {tuple(word)!r}") from None
 
-    __call__ = evaluate
-
     def birkhoff_sum(self, word, n: int, cyclic: bool = False) -> float:
         """Sum of the function along the first n shifts of ``word``.
 
@@ -155,10 +153,20 @@ class LocallyConstantFunction:
         return Norms(sup=sup, lip=lip, total=sup + lip)
 
     def holder_constant(self) -> float:
-        """Smallest A with var_n <= A * theta**n for all n >= 1, theta the shift's."""
-        if self.depth == 1:
-            return 0.0
-        return float(max(self.variation(k) / self.base.theta**k for k in range(1, self.depth)))
+        """Smallest A with var_n <= A * theta**n for all n >= 1, theta the shift's.
+        A zero var_n adds nothing; a positive one whose quotient is past the
+        float range (theta**n may underflow to 0.0) is refused."""
+        a = 0.0
+        for k in range(1, self.depth):
+            v, power = self.variation(k), self.base.theta**k
+            if v and not (power and v / power < math.inf):
+                raise ValueError(
+                    f"var_{k} / theta**{k} of a range-{self.depth} function is past "
+                    f"the float range at theta = {self.base.theta!r}"
+                )
+            if v:
+                a = max(a, v / power)
+        return a
 
     def plus_constant(self, c: float) -> "LocallyConstantFunction":
         table = {w: v + float(c) for w, v in self.table.items()}
@@ -187,11 +195,6 @@ def add(f: LocallyConstantFunction, g: LocallyConstantFunction) -> LocallyConsta
     return LocallyConstantFunction(f.base, r, table)
 
 
-def scale(f: LocallyConstantFunction, c: float) -> LocallyConstantFunction:
-    table = {w: float(c) * v for w, v in f.table.items()}
-    return LocallyConstantFunction(f.base, f.depth, table)
-
-
 def sup_diff(f: LocallyConstantFunction, g: LocallyConstantFunction) -> float:
     """Sup norm of f - g over the shift."""
     _check_compatible(f, g)
@@ -208,21 +211,19 @@ def random_function(shift, depth, rng, low=-1.0, high=1.0):
     return LocallyConstantFunction(base=shift, depth=depth, table=table)
 
 
-def recode_to_markovian(f: LocallyConstantFunction):
+def recode_to_markovian(f: LocallyConstantFunction) -> LocallyConstantFunction:
     """Rewrite a range-r function as a range-2 function on the block shift.
 
-    Returns (g, recoding); functions of range <= 2 come back unchanged with
-    recoding None.  g(u, v) equals f on the unique r-word the adjacent blocks
-    u, v spell out, so Birkhoff sums are preserved along encoded words.
+    Functions of range <= 2 come back unchanged.  Otherwise the result lives
+    on ``higher_block_recode(f.base, f.depth)[0]``, and g(u, v) equals f on
+    the unique r-word the adjacent blocks u, v spell out, so Birkhoff sums
+    are preserved along encoded words.
     """
     if f.depth <= 2:
-        return f, None
-    rec = higher_block_recode(f.base, f.depth)
+        return f
+    block_shift, blocks = higher_block_recode(f.base, f.depth)
     table = {}
-    for u in range(rec.new.n):
-        bu = rec.blocks[u]
-        for v in rec.new.successors(u):
-            word = bu + (rec.blocks[v][-1],)
-            table[(u, v)] = f.table[word]
-    g = LocallyConstantFunction(base=rec.new, depth=2, table=table)
-    return g, rec
+    for u, bu in enumerate(blocks):
+        for v in block_shift.successors(u):
+            table[(u, v)] = f.table[bu + (blocks[v][-1],)]
+    return LocallyConstantFunction(base=block_shift, depth=2, table=table)

@@ -300,56 +300,6 @@ def enumerate_periodic(shift: TransitionMatrix, k: int) -> list:
     return [w for w in words if rows[w[-1]][w[0]]]
 
 
-@dataclass(frozen=True, eq=False)
-class Recoding:
-    """Conjugacy between a shift and its higher-block presentation.
-
-    States of ``new`` are the admissible ``block_length``-words of ``base``;
-    two blocks are adjacent when they overlap in all but one symbol and the
-    combined word is admissible.
-    """
-
-    base: TransitionMatrix
-    new: TransitionMatrix
-    block_length: int
-    blocks: tuple
-
-    def block_index(self, block) -> int:
-        return self.new.index(self._label(block))
-
-    def _label(self, block):
-        return _block_label(self.base, block)
-
-    def encode(self, word) -> tuple:
-        """Image of an admissible base word of length >= block_length."""
-        b = self.block_length
-        if len(word) < b:
-            raise ValueError(f"need at least {b} symbols to encode")
-        if not self.base.is_word(word):
-            raise ValueError("inadmissible word")
-        return tuple(
-            self.block_index(tuple(word[i : i + b])) for i in range(len(word) - b + 1)
-        )
-
-    def decode(self, word) -> tuple:
-        first = self.blocks[word[0]]
-        return tuple(first) + tuple(self.blocks[s][-1] for s in word[1:])
-
-    def encode_cycle(self, word) -> tuple:
-        """Image of a cyclically admissible word, read with wrap-around."""
-        if not self.base.is_cycle(word):
-            raise ValueError("not a cyclically admissible word")
-        k = len(word)
-        b = self.block_length
-        return tuple(
-            self.block_index(tuple(word[(i + j) % k] for j in range(b)))
-            for i in range(k)
-        )
-
-    def decode_cycle(self, word) -> tuple:
-        return tuple(self.blocks[s][0] for s in word)
-
-
 def _block_label(shift: TransitionMatrix, block) -> str:
     labels = shift.labels(block)
     if all(isinstance(s, str) and len(s) == 1 for s in labels):
@@ -357,10 +307,11 @@ def _block_label(shift: TransitionMatrix, block) -> str:
     return "|".join(str(s) for s in labels)
 
 
-def higher_block_recode(shift: TransitionMatrix, ell: int) -> Recoding:
-    """Recode to the shift whose states are admissible (ell - 1)-words.
-
-    ell = 2 reproduces the original shift up to state relabelling.
+def higher_block_recode(shift: TransitionMatrix, ell: int) -> tuple:
+    """(block_shift, blocks): state u of block_shift is the admissible
+    (ell - 1)-word blocks[u], and u -> v is admissible when blocks[v] extends
+    the tail of blocks[u] by one symbol.  ell = 2 reproduces the original
+    shift up to state relabelling.
     """
     if ell < 2:
         raise ValueError("block length must be at least 2")
@@ -373,9 +324,9 @@ def higher_block_recode(shift: TransitionMatrix, ell: int) -> Recoding:
     for u, bu in enumerate(blocks):
         for s in shift._succ[bu[-1]]:
             m[u, position[bu[1:] + (s,)]] = 1
-    new = TransitionMatrix(
+    block_shift = TransitionMatrix(
         states=tuple(_block_label(shift, b) for b in blocks),
         matrix=m,
         theta=shift.theta,
     )
-    return Recoding(base=shift, new=new, block_length=ell - 1, blocks=tuple(blocks))
+    return block_shift, blocks

@@ -289,19 +289,8 @@ def perron_data(shift: TransitionMatrix, phi: LocallyConstantFunction) -> Perron
 
 def equilibrium(phi: LocallyConstantFunction) -> PerronData:
     """PerronData of any finite-range potential, recoding to range 2 if needed."""
-    if phi.depth <= 2:
-        return perron_data(phi.base, phi)
-    g = recode_to_markovian(phi)[0]
+    g = recode_to_markovian(phi)
     return perron_data(g.base, g)
-
-
-def pressure(phi: LocallyConstantFunction) -> float:
-    return equilibrium(phi).pressure
-
-
-def normalize_zero_pressure(phi: LocallyConstantFunction) -> LocallyConstantFunction:
-    """Subtract the pressure so the result has pressure zero."""
-    return phi.plus_constant(-pressure(phi))
 
 
 class _Powers:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import pinsker_gap, point_mass
 from thermoshift.approx import (
     geometric_model,
     orbit_entropy_identity,
@@ -29,8 +30,6 @@ from thermoshift.measures import (
     conditional_kl_integral,
     kl_divergence,
     metric_pressure,
-    pinsker_gap,
-    point_mass,
     random_markov_measure,
 )
 from thermoshift.potential import LocallyConstantFunction, add, random_function

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import point_mass
 from thermoshift.approx import (
     combined_orbit_harness,
     geometric_model,
@@ -23,7 +24,6 @@ from thermoshift.bounds import (
 from thermoshift.measures import (
     conditional_kl_integral,
     make_markov_measure,
-    point_mass,
     random_markov_measure,
 )
 from thermoshift.potential import LocallyConstantFunction, add, random_function

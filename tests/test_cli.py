@@ -698,6 +698,14 @@ def test_readme_configs_run_and_pass(tmp_path, text):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
+def test_readme_library_quick_start_runs(capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"^```python\n(.*?)^```", section, re.MULTILINE | re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "slack" in capsys.readouterr().out
+
+
 # The three cross-checks below are judged by the experiment alone: a
 # disagreement injected into one route prints FAIL, keeps the CSV, exits 1.
 
@@ -1719,6 +1727,17 @@ NILPOTENT = (
     'default = 826.295938831171\nvalue "a" = -605.3297839029424\n'
     'value "b" = -777.2183578799874\n[experiment]\nkind = {}\n'
 )
+# tail = 1e-200**3 / (1 - 1e-200) is 0.0, and so is total * truncated_total
+TAIL_UNDERFLOW = "[shift]\nmodel = geometric(1e-200)\n[experiment]\nkind = corollary1\nn = 2..4\n"
+# theta**k is 0.0 where a positive variation needs it
+HOLDER_OBSERVABLE_UNDERFLOW = (
+    "[shift]\nsystem = golden-range2\n[observable g]\nrange = 3\ndefault = 0.0\n"
+    'value "aaa" = 1.0\n[experiment]\nkind = corollary2\ntheta = 1e-200\nk = 3..5\n'
+)
+HOLDER_F_RANGE_UNDERFLOW = (
+    "[shift]\nsystem = full2-zero\n[experiment]\nkind = theorem1\ntheta = {}\n"
+    "trials = {}\nf-range = {}\n"
+)
 
 # the [experiment] keys of each finite-shift kind, and the kinds whose
 # potentials have range at most 2
@@ -1786,6 +1805,9 @@ def run_in_process(text: str) -> tuple:
 @example(text=GIBBS_MASS_UNDERFLOW)
 @example(text=GIBBS_EXP_OVERFLOW)
 @example(text=KERNEL_PAST_THE_FLOAT_RANGE)
+@example(text=TAIL_UNDERFLOW)
+@example(text=HOLDER_OBSERVABLE_UNDERFLOW)
+@example(text=HOLDER_F_RANGE_UNDERFLOW.format("1e-30", 20, 12))
 def test_every_config_answers_or_is_refused(text):
     code, out, err = run_in_process(text)
     assert code in (0, 1, 2)
@@ -1840,6 +1862,38 @@ def test_every_config_answers_or_is_refused(text):
     ],
 )
 def test_values_past_the_float_range_are_refused(text, message):
+    assert run_in_process(text) == (2, "", f"error: {message}\n")
+
+
+def test_corollary1_reads_an_underflowed_tail_as_a_zero_correction(tmp_path):
+    cfg = tmp_path / "tail.cfg"
+    cfg.write_text(TAIL_UNDERFLOW)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "corollary1.csv").read_text().splitlines()
+    assert rows[0] == "n,pressure_gap,lhs,rhs,slack,vacuous"
+    assert rows[1:] == [f"{n},0,0,0,0,false" for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            HOLDER_OBSERVABLE_UNDERFLOW,
+            "var_2 / theta**2 of a range-3 function is past the float range at theta = 1e-200",
+        ),
+        (
+            HOLDER_F_RANGE_UNDERFLOW.format("1e-30", 20, 12),
+            "var_11 / theta**11 of a range-12 function is past the float range at theta = 1e-30",
+        ),
+        # theta**2 is subnormal here: the quotient overflows to inf instead
+        (
+            HOLDER_F_RANGE_UNDERFLOW.format("1e-157", 5, 3),
+            "var_2 / theta**2 of a range-3 function is past the float range at theta = 1e-157",
+        ),
+    ],
+    ids=["observable-theta-1e-200", "f-range-12-theta-1e-30", "f-range-3-theta-1e-157"],
+)
+def test_holder_constants_past_the_float_range_are_refused(text, message):
     assert run_in_process(text) == (2, "", f"error: {message}\n")
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import pinsker_gap, point_mass
 from thermoshift.measures import (
     MarkovMeasure,
     block_entropy,
@@ -14,8 +15,6 @@ from thermoshift.measures import (
     kl_divergence,
     make_markov_measure,
     metric_pressure,
-    pinsker_gap,
-    point_mass,
     random_markov_measure,
     reverse_kernel,
 )

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import encode_cycle
 from thermoshift.potential import (
     LocallyConstantFunction,
     add,
     random_function,
     recode_to_markovian,
-    scale,
     sup_diff,
 )
-from thermoshift.shift import enumerate_periodic, enumerate_words
+from thermoshift.shift import enumerate_periodic, enumerate_words, higher_block_recode
 from thermoshift.systems import builtin_shift
-from thermoshift.transfer import normalize_zero_pressure, pressure
 
 
 def brute_variation(f, n):
@@ -62,6 +61,16 @@ def test_holder_certificate(depth3):
         assert depth3.variation(n) <= a * theta**n + 1e-14
 
 
+def test_holder_constant_at_an_underflowing_theta():
+    # theta**2 is 0.0: a zero var_2 adds nothing, a positive one is refused
+    shift = builtin_shift("golden-mean", theta=1e-200)
+    two = LocallyConstantFunction.from_values(shift, 3, {"aaa": 1.0, "aab": 1.0}, default=0.0)
+    assert two.holder_constant() == 1.0 / 1e-200
+    last = LocallyConstantFunction.from_values(shift, 3, {"aaa": 1.0}, default=0.0)
+    with pytest.raises(ValueError, match="var_2 / theta\\*\\*2 of a range-3 function"):
+        last.holder_constant()
+
+
 def test_tail_constant(depth3):
     for n in range(1, 6):
         expected = 2.0 * sum(depth3.variation(k) for k in range(n, depth3.depth))
@@ -84,7 +93,8 @@ def test_norm_triangle_and_scaling(golden):
     f = random_function(golden, 2, rng)
     g = random_function(golden, 2, rng)
     assert add(f, g).norms().total <= f.norms().total + g.norms().total + 1e-12
-    assert scale(f, -2.5).norms().total == pytest.approx(2.5 * f.norms().total)
+    scaled = LocallyConstantFunction(golden, 2, {w: -2.5 * v for w, v in f.table.items()})
+    assert scaled.norms().total == pytest.approx(2.5 * f.norms().total)
 
 
 def test_birkhoff_sum_plain(golden):
@@ -162,25 +172,18 @@ def test_sup_diff(golden):
 
 def test_recode_to_markovian_identity_below_range_three(golden):
     f = random_function(golden, 2, np.random.default_rng(3))
-    g, rec = recode_to_markovian(f)
-    assert g is f and rec is None
+    assert recode_to_markovian(f) is f
 
 
 def test_recode_to_markovian_preserves_cyclic_sums(depth3):
-    g, rec = recode_to_markovian(depth3)
-    assert g.depth == 2
+    g = recode_to_markovian(depth3)
+    block_shift, blocks = higher_block_recode(depth3.base, depth3.depth)
+    assert g.depth == 2 and g.base.same_shift(block_shift)
     for k in range(1, 7):
         for cycle in enumerate_periodic(depth3.base, k):
             plain = depth3.birkhoff_sum(cycle, k, cyclic=True)
-            lifted = g.birkhoff_sum(rec.encode_cycle(cycle), k, cyclic=True)
+            lifted = g.birkhoff_sum(encode_cycle(blocks, cycle), k, cyclic=True)
             assert plain == pytest.approx(lifted, abs=1e-12)
-
-
-def test_normalize_zero_pressure(depth3):
-    g = normalize_zero_pressure(depth3)
-    assert abs(pressure(g)) <= 1e-10
-    again = normalize_zero_pressure(g)
-    assert sup_diff(g, again) <= 1e-10
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))

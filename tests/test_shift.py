@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import encode_cycle
 from thermoshift import shift as shift_module
 from thermoshift.shift import (
     EmptyShiftError,
@@ -106,16 +107,17 @@ def test_enumeration_cap():
 
 def test_higher_block_recode_golden():
     shift = builtin_shift("golden-mean")
-    rec = higher_block_recode(shift, 3)
-    assert rec.new.n == 3  # aa, ab, ba
+    block_shift, blocks = higher_block_recode(shift, 3)
+    assert block_shift.n == 3 and blocks == [(0, 0), (0, 1), (1, 0)]  # aa, ab, ba
+    assert block_shift.states == ("aa", "ab", "ba")
     # admissible n-words of the recoded shift biject with (n+ell-2)-words
     for n in range(1, 8):
-        assert len(enumerate_words(rec.new, n)) == len(enumerate_words(shift, n + 1))
+        assert len(enumerate_words(block_shift, n)) == len(enumerate_words(shift, n + 1))
 
 
 def test_higher_block_recode_counts_its_states_before_listing_them(monkeypatch):
     shift = builtin_shift("full-2")
-    assert higher_block_recode(shift, 11).new.n == shift_module.STATE_CAP
+    assert higher_block_recode(shift, 11)[0].n == shift_module.STATE_CAP
 
     def listing(*args):
         raise AssertionError("blocks were listed before they were counted")
@@ -126,24 +128,16 @@ def test_higher_block_recode_counts_its_states_before_listing_them(monkeypatch):
             higher_block_recode(shift, ell)
 
 
-def test_recode_roundtrip():
-    shift = builtin_shift("tribonacci")
-    rec = higher_block_recode(shift, 3)
-    for w in enumerate_words(shift, 6):
-        enc = rec.encode(w)
-        assert rec.new.is_word(enc)
-        assert rec.decode(enc) == w
-
-
 def test_recode_cycles():
     shift = builtin_shift("golden-mean")
-    rec = higher_block_recode(shift, 2)
-    for k in range(1, 7):
-        cycles = enumerate_periodic(shift, k)
-        encoded = {rec.encode_cycle(c) for c in cycles}
-        assert encoded == set(enumerate_periodic(rec.new, k))
-        for c in cycles:
-            assert rec.decode_cycle(rec.encode_cycle(c)) == c
+    for ell in (2, 3):
+        block_shift, blocks = higher_block_recode(shift, ell)
+        for k in range(1, 7):
+            cycles = enumerate_periodic(shift, k)
+            encoded = {encode_cycle(blocks, c) for c in cycles}
+            assert encoded == set(enumerate_periodic(block_shift, k))
+            for c in cycles:
+                assert tuple(blocks[s][0] for s in encode_cycle(blocks, c)) == c
 
 
 def test_same_shift_is_content_based():
@@ -159,7 +153,7 @@ def test_a_shift_carries_its_metric_parameter():
     assert shift.theta == 0.3 and build_sft(["a", "b"], GOLDEN_EDGES).theta == 0.5
     assert not shift.same_shift(build_sft(["a", "b"], GOLDEN_EDGES))
     assert shift.same_shift(build_sft(["a", "b"], GOLDEN_EDGES, theta=0.3))
-    assert higher_block_recode(shift, 3).new.theta == 0.3
+    assert higher_block_recode(shift, 3)[0].theta == 0.3
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, float("nan")])

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import point_mass
 from thermoshift.bounds import cohomology_residual
-from thermoshift.measures import integrate, metric_pressure, point_mass
+from thermoshift.measures import integrate, metric_pressure
 from thermoshift.potential import LocallyConstantFunction, random_function
 from thermoshift.shift import NotMixingError, build_sft
 from thermoshift.systems import builtin_shift, builtin_system
@@ -13,10 +14,8 @@ from thermoshift.transfer import (
     equilibrium,
     gibbs_certificate,
     gurevich_estimate,
-    normalize_zero_pressure,
     partition_sum,
     perron_data,
-    pressure,
     transfer_matrix,
 )
 
@@ -122,19 +121,11 @@ def test_constant_relations(name):
 def test_pressure_additivity():
     shift = builtin_shift("golden-mean")
     phi = random_function(shift, 2, np.random.default_rng(19))
-    base = pressure(phi)
+    base = equilibrium(phi).pressure
     for const in (-3.0, 0.125, 7.5):
-        assert pressure(phi.plus_constant(const)) == pytest.approx(
+        assert equilibrium(phi.plus_constant(const)).pressure == pytest.approx(
             base + const, abs=1e-12
         )
-
-
-def test_normalize_zero_pressure_idempotent():
-    shift = builtin_shift("tribonacci")
-    phi = random_function(shift, 2, np.random.default_rng(23))
-    norm = normalize_zero_pressure(phi)
-    assert pressure(norm) == pytest.approx(0.0, abs=1e-10)
-    assert pressure(normalize_zero_pressure(norm)) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_transfer_matrix_entries():
@@ -208,7 +199,7 @@ def test_equilibrium_recodes_long_range():
     assert data.shift.n == 3  # the 2-block shift of golden-mean: aa, ab, ba
     assert data.phi.depth == 2
     # pressure is intrinsic: adding a constant survives the recode roundtrip
-    assert pressure(phi.plus_constant(1.0)) == pytest.approx(
+    assert equilibrium(phi.plus_constant(1.0)).pressure == pytest.approx(
         data.pressure + 1.0, abs=1e-12
     )
 
